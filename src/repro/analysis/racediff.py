@@ -24,15 +24,13 @@ dynamically), so the reverse direction is not checked.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.analysis.dataflow.hb import HBAnalysis, analyze_program
 from repro.errors import ReproError
 from repro.fexec.machine import run_kernel
 from repro.fexec.sanitizer import SanitizerRace
-
-RACEDIFF_SCHEMA = "repro-racediff-report-v1"
+from repro.gates import GateReport, Subject, Verdict, specialize
 
 _COPY_SUFFIX = re.compile(r"__db\d*$")
 
@@ -42,41 +40,19 @@ def _canon_group(group: str) -> str:
     return _COPY_SUFFIX.sub("", group)
 
 
-@dataclass
-class RaceDiff:
-    """Static-vs-sanitizer agreement for one program variant."""
-
-    label: str
-    num_static: int = 0
-    num_dynamic: int = 0
-    excused_stages: tuple[int, ...] = ()
-    missing: list[str] = field(default_factory=list)
-    skipped: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.missing
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "label": self.label,
-            "num_static": self.num_static,
-            "num_dynamic": self.num_dynamic,
-            "excused_stages": list(self.excused_stages),
-            "missing": list(self.missing),
-            "skipped": self.skipped,
-            "ok": self.ok,
-        }
-
-
 def diff_races(
     label: str,
     program: Any,
     image: Any,
     launch: Any,
     analysis: HBAnalysis | None = None,
-) -> RaceDiff:
-    """Compare sanitizer-observed races against the static verdicts."""
+) -> Verdict:
+    """Compare sanitizer-observed races against the static verdicts.
+
+    The verdict's detail lists the observed races no static verdict
+    covers; its fields count the static races and list the observed
+    ones.
+    """
     if analysis is None:
         analysis = analyze_program(program)
     static_pairs = {
@@ -86,11 +62,12 @@ def diff_races(
     excused = tuple(sorted(
         {stage for _, stage in analysis.skipped_stage_groups()}
     ))
-    diff = RaceDiff(
-        label=label,
-        num_static=len(static_pairs),
-        excused_stages=excused,
-    )
+    diff = Verdict(label, fields={
+        "num_static": len(static_pairs),
+        "num_dynamic": 0,
+        "races": [],
+        "excused_stages": list(excused),
+    })
     try:
         result = run_kernel(
             program, image, launch, collect_trace=False, sanitize=True
@@ -100,11 +77,13 @@ def diff_races(
         # without a completed execution there is nothing to compare.
         diff.skipped = f"{type(exc).__name__}: {exc}"
         return diff
-    diff.num_dynamic = len(result.races)
-    for race in result.races:
-        if _is_covered(race, static_pairs, excused):
-            continue
-        diff.missing.append(race.format())
+    diff.fields["num_dynamic"] = len(result.races)
+    diff.fields["races"] = [race.format() for race in result.races]
+    diff.detail = [
+        race.format() for race in result.races
+        if not _is_covered(race, static_pairs, excused)
+    ]
+    diff.ok = not diff.detail
     return diff
 
 
@@ -123,61 +102,38 @@ def _is_covered(
     )
 
 
-def racediff_spec(spec: Any) -> list[RaceDiff]:
-    """Race differential for every specializing OPTION_SETS variant of
-    one fuzz spec."""
-    from repro.core.compiler import WaspCompiler
-    from repro.errors import CompilerError
-    from repro.fuzz.generator import build_kernel
-    from repro.fuzz.oracle import OPTION_SETS
+class RaceDiffCheck:
+    """``repro racediff``: the race differential over one subject.
 
-    kernel = build_kernel(spec)
-    diffs: list[RaceDiff] = []
-    for name, options in OPTION_SETS:
-        try:
-            compiled = WaspCompiler(options).compile(
-                kernel.program, num_warps=kernel.launch.num_warps
-            )
-        except (CompilerError, ReproError):
-            continue
-        if not compiled.specialized:
-            continue
-        launch = replace(
-            kernel.launch,
-            num_warps=kernel.launch.num_warps * compiled.num_stages,
-        )
-        diffs.append(diff_races(
-            f"seed{spec.seed}:{name}",
-            compiled.program,
-            kernel.image_factory(),
+    A fuzz-spec subject is diffed under its option set, a registry
+    subject under its evaluation config's compiler options; subjects
+    the compiler does not specialize have no cross-stage races and
+    give no verdict.
+    """
+
+    name = "racediff"
+
+    def run(self, subject: Subject) -> list[Verdict]:
+        options = subject.options
+        if subject.config is not None:
+            from repro.experiments.runner import _compiler_options_for
+
+            options = _compiler_options_for(subject.kernel, subject.config)
+        if options is None:
+            return []
+        compiled = specialize(subject.kernel, options)
+        if compiled is None:
+            return []
+        result, launch = compiled
+        return [diff_races(
+            subject.label, result.program, subject.kernel.image_factory(),
             launch,
-        ))
-    return diffs
+        )]
 
-
-def racediff_registry_kernel(kernel: Any, eval_config: Any) -> list[RaceDiff]:
-    """Race differential for one registry kernel under one sweep config."""
-    from repro.errors import CompilerError, ResourceError
-    from repro.experiments.runner import WaspCompiler, _compiler_options_for
-
-    options = _compiler_options_for(kernel, eval_config)
-    if options is None:
-        return []
-    try:
-        compiled = WaspCompiler(options).compile(
-            kernel.program, num_warps=kernel.launch.num_warps
+    def summary(self, report: GateReport) -> str:
+        dynamic = sum(v.fields["num_dynamic"] for v in report.verdicts)
+        return (
+            f"racediff: {report.num_ok}/{len(report.verdicts)} comparisons "
+            f"agree ({dynamic} dynamic race(s) observed, "
+            f"{report.num_skipped} skipped; {report.wall_s:.1f}s)"
         )
-    except (CompilerError, ResourceError):
-        return []
-    if not compiled.specialized:
-        return []
-    launch = replace(
-        kernel.launch,
-        num_warps=kernel.launch.num_warps * compiled.num_stages,
-    )
-    return [diff_races(
-        f"{kernel.name}:{eval_config.name}",
-        compiled.program,
-        kernel.image_factory(),
-        launch,
-    )]

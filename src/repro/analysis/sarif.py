@@ -1,4 +1,4 @@
-"""SARIF 2.1.0 export for verifier diagnostics (``repro lint --sarif``).
+"""SARIF 2.1.0 export for diagnostics (``repro lint``/``validate --sarif``).
 
 Static Analysis Results Interchange Format output lets GitHub code
 scanning, VS Code SARIF viewers and other standard tooling ingest the
@@ -12,10 +12,10 @@ anchor to ``kernel::block`` logical names instead of physical ones.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from typing import Any
 
 from repro.analysis.diagnostics import RULES, Diagnostic, Severity
-from repro.analysis.lint import LintResult, ValidateResult
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA_URI = (
@@ -71,9 +71,16 @@ def _result(diag: Diagnostic, rule_index: dict[str, int]) -> dict[str, Any]:
     return result
 
 
-def _sarif_document(
-    tool_name: str, results: list[dict[str, Any]]
+def sarif_log(
+    tool_name: str, diagnostics: Iterable[Diagnostic]
 ) -> dict[str, Any]:
+    """One SARIF 2.1.0 log for a whole gate run.
+
+    Every rule family (verifier C/Q/D/S/R and translation-validation
+    T) exports alike: ``tool.driver.rules`` carries the full catalogue,
+    so code-scanning UIs render any finding with no extra plumbing.
+    """
+    rule_index = {rule_id: i for i, rule_id in enumerate(sorted(RULES))}
     return {
         "$schema": SARIF_SCHEMA_URI,
         "version": SARIF_VERSION,
@@ -85,32 +92,6 @@ def _sarif_document(
                 }
             },
             "columnKind": "unicodeCodePoints",
-            "results": results,
+            "results": [_result(d, rule_index) for d in diagnostics],
         }],
     }
-
-
-def sarif_from_lint(result: LintResult) -> dict[str, Any]:
-    """One SARIF 2.1.0 log for a whole ``repro lint`` run."""
-    rule_index = {rule_id: i for i, rule_id in enumerate(sorted(RULES))}
-    results: list[dict[str, Any]] = []
-    for kernel in result.kernels:
-        for diag in kernel.report:
-            results.append(_result(diag, rule_index))
-    return _sarif_document("repro-lint", results)
-
-
-def sarif_from_validate(result: ValidateResult) -> dict[str, Any]:
-    """One SARIF 2.1.0 log for a whole ``repro validate`` run.
-
-    WASP-T diagnostics export exactly like the verifier families: the
-    rule catalogue in ``tool.driver.rules`` already carries T001–T004,
-    so code-scanning UIs render translation-validation findings with
-    no extra plumbing.
-    """
-    rule_index = {rule_id: i for i, rule_id in enumerate(sorted(RULES))}
-    results: list[dict[str, Any]] = []
-    for kernel in result.kernels:
-        for diag in kernel.report:
-            results.append(_result(diag, rule_index))
-    return _sarif_document("repro-transval", results)

@@ -26,6 +26,7 @@ from typing import Any
 
 from repro.fuzz.oracle import FuzzFailure
 from repro.fuzz.spec import FuzzSpec
+from repro.gates import GateReport, Subject, Verdict
 
 #: Format version for corpus entries.
 CORPUS_VERSION = 1
@@ -137,3 +138,32 @@ def replay_entry(entry: CorpusEntry) -> list[FuzzFailure]:
     return run_oracle(
         entry.spec, inject=entry.inject, use_verdict_cache=False,
     ).failures
+
+
+class ReplayCheck:
+    """``repro fuzz --corpus``: every entry against its expectation."""
+
+    name = "corpus"
+
+    def run(self, subject: Subject) -> list[Verdict]:
+        entry = subject.entry
+        assert entry is not None
+        failures = replay_entry(entry)
+        if entry.expect == "pass":
+            detail = [f.summary() for f in failures]
+        else:
+            want = entry.expect.split(":", 1)[1]
+            got = sorted({f.check for f in failures})
+            detail = [] if want in got else [
+                f"expected a {want} failure, got {', '.join(got) or 'a pass'}"
+            ]
+        return [Verdict(
+            entry.name, ok=not detail, detail=detail,
+            fields={"failures": [f.to_json() for f in failures]},
+        )]
+
+    def summary(self, report: GateReport) -> str:
+        return (
+            f"corpus: {report.num_ok}/{len(report.verdicts)} entries hold "
+            f"({report.wall_s:.1f}s)"
+        )

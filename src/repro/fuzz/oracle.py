@@ -46,6 +46,7 @@ from repro.fexec.machine import run_kernel
 from repro.fexec.trace import KernelTrace
 from repro.fuzz.generator import build_kernel
 from repro.fuzz.spec import SPEC_VERSION, FuzzSpec
+from repro.gates import widened_launch
 from repro.isa.opcodes import Opcode
 from repro.telemetry.registry import TELEMETRY
 from repro.workloads.base import Kernel
@@ -457,10 +458,7 @@ def _run_dynamic_checks(
     inject: str | None,
     fail,
 ) -> None:
-    launch = replace(
-        kernel.launch,
-        num_warps=kernel.launch.num_warps * result.num_stages,
-    )
+    launch = widened_launch(kernel.launch, result)
     image = kernel.image_factory()
     try:
         # Injected corruptions additionally run under the SMEM

@@ -22,71 +22,25 @@ Consumers:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import CompilerError, ReproError, ResourceError
 from repro.fexec.trace import KernelTrace
+from repro.gates import GateReport, Subject, Verdict, specialize
 from repro.sim.config import GPUConfig, baseline_a100, wasp_gpu
 from repro.sim.gpu import make_simulator
 
+if TYPE_CHECKING:
+    from repro.experiments.configs import EvalConfig
+
 __all__ = [
-    "CoreDiff",
-    "diff_registry_kernel",
-    "diff_spec",
+    "CoreDiffCheck",
     "diff_traces",
     "differential_gpus",
 ]
 
 
-@dataclass
-class CoreDiff:
-    """Outcome of one reference-vs-event comparison.
-
-    Beyond the pass/fail verdict, each diff carries per-core wall
-    time and issue/event counts so ``repro corediff`` doubles as a
-    per-kernel performance comparison of the two cores.
-    """
-
-    label: str
-    ref_cycles: float = 0.0
-    event_cycles: float = 0.0
-    ref_wall_s: float = 0.0
-    event_wall_s: float = 0.0
-    ref_issued: int = 0
-    event_issued: int = 0
-    #: Event-core bookkeeping volume: heap pops + list wakes (0 for
-    #: runs that failed before completing).
-    event_events: int = 0
-    mismatches: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    @property
-    def speedup(self) -> float:
-        """Reference wall time over event wall time (>1: event wins)."""
-        if self.event_wall_s <= 0:
-            return 0.0
-        return self.ref_wall_s / self.event_wall_s
-
-    def to_json(self) -> dict[str, object]:
-        return {
-            "label": self.label,
-            "ok": self.ok,
-            "ref_cycles": self.ref_cycles,
-            "event_cycles": self.event_cycles,
-            "ref_wall_s": round(self.ref_wall_s, 6),
-            "event_wall_s": round(self.event_wall_s, 6),
-            "speedup": round(self.speedup, 3),
-            "ref_issued": self.ref_issued,
-            "event_issued": self.event_issued,
-            "event_events": self.event_events,
-            "mismatches": list(self.mismatches),
-        }
-
-
-def differential_gpus(config: GPUConfig | None = None) -> list[GPUConfig]:
+def differential_gpus() -> list[GPUConfig]:
     """A GPU matrix that exercises every event class.
 
     Baseline (SMEM queues, GTO), the full WASP GPU (RFQ queues,
@@ -94,8 +48,6 @@ def differential_gpus(config: GPUConfig | None = None) -> list[GPUConfig]:
     QUEUE_FULL/QUEUE_EMPTY blocking -> the wake registries), and a
     bandwidth-starved one (long memory waits -> the wakeup heap).
     """
-    if config is not None:
-        return [config]
     return [
         baseline_a100(),
         wasp_gpu(),
@@ -108,9 +60,13 @@ def diff_traces(
     traces: list[KernelTrace],
     config: GPUConfig,
     label: str,
-) -> CoreDiff:
-    """Run both cores over ``traces`` and compare every observable."""
-    diff = CoreDiff(label=label)
+) -> Verdict:
+    """Run both cores over ``traces`` and compare every observable.
+
+    Beyond the verdict, the fields carry per-core wall time and
+    issue/event counts, so ``repro corediff`` doubles as a per-kernel
+    performance comparison of the two cores.
+    """
 
     def one(core: str):
         start = time.perf_counter()
@@ -122,29 +78,47 @@ def diff_traces(
             return None, outcome, time.perf_counter() - start
         return sim, stats, time.perf_counter() - start
 
-    ref_sim, ref, diff.ref_wall_s = one("reference")
-    event_sim, event, diff.event_wall_s = one("event")
+    ref_sim, ref, ref_wall_s = one("reference")
+    event_sim, event, event_wall_s = one("event")
+    diff = Verdict(label, fields={
+        "ref_cycles": 0.0,
+        "event_cycles": 0.0,
+        "ref_wall_s": round(ref_wall_s, 6),
+        "event_wall_s": round(event_wall_s, 6),
+        "speedup": round(
+            ref_wall_s / event_wall_s if event_wall_s > 0 else 0.0, 3
+        ),
+        "ref_issued": 0,
+        "event_issued": 0,
+        # Event-core bookkeeping volume: heap pops + list wakes (0 for
+        # runs that failed before completing).
+        "event_events": 0,
+    })
+    mismatches = diff.detail
 
     if ref_sim is None or event_sim is None:
         # Both must fail identically (same error, same cycle in the
         # message) — deadlock parity is part of the contract.
         if ref != event:
-            diff.mismatches.append(
+            mismatches.append(
                 f"{label}: outcome: reference={ref!r} event={event!r}"
             )
+        diff.ok = not mismatches
         return diff
 
-    diff.ref_cycles = ref.cycles
-    diff.event_cycles = event.cycles
-    diff.ref_issued = ref.issued_total
-    diff.event_issued = event.issued_total
-    diff.event_events = int(
-        event_sim._heap.pops + getattr(event_sim, "_tel_wakes", 0)
+    diff.fields.update(
+        ref_cycles=ref.cycles,
+        event_cycles=event.cycles,
+        ref_issued=ref.issued_total,
+        event_issued=event.issued_total,
+        event_events=int(
+            event_sim._heap.pops + getattr(event_sim, "_tel_wakes", 0)
+        ),
     )
 
     def cmp(name: str, a, b) -> None:
         if a != b:
-            diff.mismatches.append(
+            mismatches.append(
                 f"{label}: {name}: reference={a!r} event={b!r}"
             )
 
@@ -173,89 +147,88 @@ def diff_traces(
         event_sim.tma.vectors_issued)
     cmp("tma.jobs_started", ref_sim.tma.jobs_started,
         event_sim.tma.jobs_started)
+    diff.ok = not mismatches
     return diff
 
 
-def diff_spec(spec, config: GPUConfig | None = None) -> list[CoreDiff]:
-    """Differential for one fuzz spec: the reference program's traces
-    plus every OPTION_SETS specialization, each timed under the
-    differential GPU matrix (functional memory effects are shared by
-    construction — both cores replay the same traces — so the oracle's
+class CoreDiffCheck:
+    """``repro corediff``: both SM cores over one subject's traces.
+
+    A fuzz-spec subject (the plain program or one option set's
+    specialization) is timed under the whole :func:`differential_gpus`
+    matrix.  Functional memory effects are shared by construction —
+    both cores replay the same traces — so the oracle's
     bit-identical-memory check rides on the fuzz gate, while this
-    compares every timing observable)."""
-    from dataclasses import replace
-
-    from repro.core.compiler import WaspCompiler
-    from repro.fexec.machine import run_kernel
-    from repro.fuzz.generator import build_kernel
-    from repro.fuzz.oracle import OPTION_SETS
-
-    kernel = build_kernel(spec)
-    variants: list[tuple[str, list[KernelTrace]]] = []
-    ref_result = run_kernel(
-        kernel.program, kernel.image_factory(), kernel.launch
-    )
-    variants.append(("plain", ref_result.traces))
-    for name, options in OPTION_SETS:
-        try:
-            compiled = WaspCompiler(options).compile(
-                kernel.program, num_warps=kernel.launch.num_warps
-            )
-        except (CompilerError, ReproError):
-            continue
-        if not compiled.specialized:
-            continue
-        launch = replace(
-            kernel.launch,
-            num_warps=kernel.launch.num_warps * compiled.num_stages,
-        )
-        try:
-            result = run_kernel(
-                compiled.program, kernel.image_factory(), launch
-            )
-        except ReproError:
-            continue  # oracle territory (deadlock checks), not ours
-        variants.append((name, result.traces))
-
-    diffs = []
-    for name, traces in variants:
-        for gpu in differential_gpus(config):
-            label = (
-                f"seed{spec.seed}:{name}:"
-                f"{gpu.features.queue_impl.value}-rfq{gpu.rfq_size}"
-                f"-bw{gpu.l2_sectors_per_cycle:g}"
-            )
-            diffs.append(diff_traces(traces, gpu, label))
-    return diffs
-
-
-def diff_registry_kernel(kernel, eval_config, cache=None) -> list[CoreDiff]:
-    """Differential for one registry kernel under one sweep config.
-
-    Uses the shared trace cache, so sweeps that already ran pay no
-    extra trace generation; both the plain and (when the compiler
-    specializes) the specialized trace sets are compared under the
-    config's GPU.
+    compares every timing observable.  A registry subject compares its
+    plain and (when the compiler specializes) specialized traces under
+    its evaluation config's GPU, through the shared trace cache, so a
+    sweep that already ran pays no extra trace generation.
     """
-    from repro.experiments.runner import (
-        _GLOBAL_CACHE, _compiler_options_for, _gpu_for,
-    )
 
-    cache = cache or _GLOBAL_CACHE
-    gpu = _gpu_for(kernel, eval_config)
-    diffs = [diff_traces(
-        cache.original(kernel).traces, gpu,
-        f"{kernel.name}:{eval_config.name}:plain",
-    )]
-    options = _compiler_options_for(kernel, eval_config)
-    if options is not None:
-        try:
-            entry = cache.specialized(kernel, options)
-        except (CompilerError, ResourceError):
-            entry = None
-        if entry is not None:
-            diffs.append(diff_traces(
-                entry.traces, gpu,
-                f"{kernel.name}:{eval_config.name}:specialized",
-            ))
-    return diffs
+    name = "corediff"
+
+    def run(self, subject: Subject) -> list[Verdict]:
+        from repro.fexec.machine import run_kernel
+
+        kernel = subject.kernel
+        if subject.config is not None:
+            return self._registry(subject, subject.config)
+        if subject.options is None:
+            traces = run_kernel(
+                kernel.program, kernel.image_factory(), kernel.launch
+            ).traces
+        else:
+            compiled = specialize(kernel, subject.options)
+            if compiled is None:
+                return []
+            try:
+                traces = run_kernel(
+                    compiled[0].program, kernel.image_factory(), compiled[1]
+                ).traces
+            except ReproError:
+                return []  # oracle territory (deadlock checks), not ours
+        return [
+            diff_traces(
+                traces, gpu,
+                f"{subject.label}:{gpu.features.queue_impl.value}"
+                f"-rfq{gpu.rfq_size}-bw{gpu.l2_sectors_per_cycle:g}",
+            )
+            for gpu in differential_gpus()
+        ]
+
+    @staticmethod
+    def _registry(subject: Subject, config: EvalConfig) -> list[Verdict]:
+        from repro.experiments.runner import (
+            GLOBAL_CACHE, _compiler_options_for, _gpu_for,
+        )
+
+        kernel = subject.kernel
+        gpu = _gpu_for(kernel, config)
+        verdicts = [diff_traces(
+            GLOBAL_CACHE.original(kernel).traces, gpu,
+            f"{subject.label}:plain",
+        )]
+        options = _compiler_options_for(kernel, config)
+        if options is not None:
+            try:
+                entry = GLOBAL_CACHE.specialized(kernel, options)
+            except (CompilerError, ResourceError):
+                entry = None
+            if entry is not None:
+                verdicts.append(diff_traces(
+                    entry.traces, gpu, f"{subject.label}:specialized",
+                ))
+        return verdicts
+
+    def summary(self, report: GateReport) -> str:
+        ref = sum(v.fields["ref_wall_s"] for v in report.verdicts)
+        event = sum(v.fields["event_wall_s"] for v in report.verdicts)
+        return (
+            f"corediff: {report.num_ok}/{len(report.verdicts)} comparisons "
+            f"bit-identical ({report.wall_s:.1f}s; reference {ref:.2f}s "
+            f"vs event {event:.2f}s"
+            + (f", event {ref / event:.2f}x faster overall)"
+               if event > 0 else ")")
+        )
+
+

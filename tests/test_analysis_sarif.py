@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+from types import SimpleNamespace
 
 from repro.analysis.diagnostics import (
     RULES,
@@ -17,13 +18,10 @@ from repro.analysis.diagnostics import (
     DiagnosticReport,
     Severity,
 )
-from repro.analysis.lint import KernelLint, LintResult
-from repro.analysis.sarif import (
-    SARIF_SCHEMA_URI,
-    SARIF_VERSION,
-    sarif_from_lint,
-)
-from repro.cli import run_lint
+from repro.analysis.lint import LintCheck, ValidateCheck
+from repro.analysis.sarif import SARIF_SCHEMA_URI, SARIF_VERSION
+from repro.cli import main
+from repro.gates import GateReport, Subject, Verdict
 
 
 def _report(*diags: Diagnostic) -> DiagnosticReport:
@@ -32,19 +30,11 @@ def _report(*diags: Diagnostic) -> DiagnosticReport:
     return report
 
 
-def _lint_result(report: DiagnosticReport) -> LintResult:
-    return LintResult(
-        scale=0.25,
-        kernels=[
-            KernelLint(
-                benchmark="bench",
-                kernel="k",
-                specialized=True,
-                num_stages=2,
-                report=report,
-            )
-        ],
-    )
+def _lint_result(report: DiagnosticReport) -> GateReport:
+    return GateReport(LintCheck(), [Verdict(
+        "bench/k", ok=not report.errors, report=report,
+        fields={"specialized": True, "num_stages": 2},
+    )])
 
 
 def _sample_diags() -> list[Diagnostic]:
@@ -73,7 +63,7 @@ def _sample_diags() -> list[Diagnostic]:
 
 
 def test_sarif_document_shape():
-    doc = sarif_from_lint(_lint_result(_report(*_sample_diags())))
+    doc = _lint_result(_report(*_sample_diags())).to_sarif()
     assert doc["$schema"] == SARIF_SCHEMA_URI
     assert doc["version"] == SARIF_VERSION == "2.1.0"
     assert len(doc["runs"]) == 1
@@ -84,7 +74,7 @@ def test_sarif_document_shape():
 
 
 def test_sarif_rules_cover_the_whole_catalogue():
-    doc = sarif_from_lint(_lint_result(_report()))
+    doc = _lint_result(_report()).to_sarif()
     rules = doc["runs"][0]["tool"]["driver"]["rules"]
     assert [r["id"] for r in rules] == sorted(RULES)
     for rule in rules:
@@ -95,7 +85,7 @@ def test_sarif_rules_cover_the_whole_catalogue():
 
 
 def test_sarif_results_reference_valid_rule_indices():
-    doc = sarif_from_lint(_lint_result(_report(*_sample_diags())))
+    doc = _lint_result(_report(*_sample_diags())).to_sarif()
     run = doc["runs"][0]
     rules = run["tool"]["driver"]["rules"]
     assert len(run["results"]) == 3
@@ -111,7 +101,7 @@ def test_sarif_results_reference_valid_rule_indices():
 
 
 def test_sarif_logical_locations_and_properties():
-    doc = sarif_from_lint(_lint_result(_report(*_sample_diags())))
+    doc = _lint_result(_report(*_sample_diags())).to_sarif()
     result = doc["runs"][0]["results"][0]
     logical = result["locations"][0]["logicalLocations"][0]
     assert logical["kind"] == "function"
@@ -130,7 +120,7 @@ def test_every_registered_rule_round_trips_through_the_exporter():
                    kernel="k", block="b")
         for rule_id in sorted(RULES)
     ]
-    doc = sarif_from_lint(_lint_result(_report(*diags)))
+    doc = _lint_result(_report(*diags)).to_sarif()
     run = doc["runs"][0]
     rules = run["tool"]["driver"]["rules"]
     exported = {r["ruleId"] for r in run["results"]}
@@ -151,9 +141,6 @@ def test_every_registered_rule_round_trips_through_the_exporter():
 
 
 def test_sarif_from_validate_exports_t_rules():
-    from repro.analysis.lint import KernelValidation, ValidateResult
-    from repro.analysis.sarif import sarif_from_validate
-
     report = _report(Diagnostic(
         rule="WASP-T002",
         message="value diverges through queue 1",
@@ -161,15 +148,12 @@ def test_sarif_from_validate_exports_t_rules():
         stage=1,
         block="s1_loop",
     ))
-    doc = sarif_from_validate(ValidateResult(
-        scale=0.25,
-        kernels=[KernelValidation(
-            benchmark="bench", kernel="k", depth=4,
-            specialized=True, verdict="not-equivalent", report=report,
-        )],
-    ))
+    doc = GateReport(ValidateCheck(), [Verdict(
+        "bench/k[full]@depth4", ok=False, report=report,
+        fields={"depth": 4, "verdict": "not-equivalent"},
+    )]).to_sarif()
     run = doc["runs"][0]
-    assert run["tool"]["driver"]["name"] == "repro-transval"
+    assert run["tool"]["driver"]["name"] == "repro-validate"
     assert [r["id"] for r in run["tool"]["driver"]["rules"]] == sorted(RULES)
     (result,) = run["results"]
     assert result["ruleId"] == "WASP-T002"
@@ -220,40 +204,46 @@ def _fake_lint(monkeypatch, severity: Severity):
         Severity.ERROR: "WASP-S001",
         Severity.WARNING: "WASP-D003",
     }[severity]
-    result = _lint_result(
-        _report(Diagnostic(rule=rule, message="synthetic"))
-    )
+    report = _report(Diagnostic(rule=rule, message="synthetic"))
 
     import repro.analysis.lint as lint_module
+    import repro.gates as gates_module
 
+    kernel = SimpleNamespace(program=None, launch=SimpleNamespace(num_warps=1))
     monkeypatch.setattr(
-        lint_module, "lint_benchmarks",
-        lambda names, scale, validate=False: result,
+        gates_module, "registry_subjects",
+        lambda names, scale: [Subject("bench/k", kernel)],
+    )
+    monkeypatch.setattr(
+        lint_module, "lint_kernel",
+        lambda program, num_warps, validate=False: (
+            SimpleNamespace(specialized=True, num_stages=2), report
+        ),
     )
 
 
 def test_lint_warnings_exit_zero_without_strict(monkeypatch, capsys):
     _fake_lint(monkeypatch, Severity.WARNING)
-    assert run_lint(["--all"]) == 0
+    assert main(["lint", "--all"]) == 0
     capsys.readouterr()
 
 
 def test_lint_warnings_exit_nonzero_with_strict(monkeypatch, capsys):
     _fake_lint(monkeypatch, Severity.WARNING)
-    assert run_lint(["--all", "--strict"]) == 1
+    assert main(["lint", "--all", "--strict"]) == 1
     capsys.readouterr()
 
 
 def test_lint_errors_exit_nonzero_either_way(monkeypatch, capsys):
     _fake_lint(monkeypatch, Severity.ERROR)
-    assert run_lint(["--all"]) == 1
+    assert main(["lint", "--all"]) == 1
     capsys.readouterr()
 
 
 def test_lint_sarif_flag_writes_the_log(monkeypatch, capsys, tmp_path):
     _fake_lint(monkeypatch, Severity.WARNING)
     out = tmp_path / "findings.sarif"
-    assert run_lint(["--all", "--sarif", str(out)]) == 0
+    assert main(["lint", "--all", "--sarif", str(out)]) == 0
     capsys.readouterr()
     doc = json.loads(out.read_text())
     assert doc["version"] == "2.1.0"

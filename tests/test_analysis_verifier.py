@@ -13,7 +13,7 @@ from tests.conftest import build_stream_program, build_tile_program
 
 from repro.analysis import Severity, verify_program
 from repro.analysis.cfg import build_view, section_loops, stage_of_label
-from repro.analysis.lint import lint_benchmarks, lint_kernel
+from repro.analysis.lint import LintCheck, lint_kernel
 from repro.analysis.sites import collect_sites
 from repro.analysis.verifier import verify_or_raise
 from repro.core.compiler.pipeline import WaspCompiler, WaspCompilerOptions
@@ -406,8 +406,10 @@ def test_verify_or_raise_wraps_errors(stream_pipeline):
 
 
 def test_all_registry_workloads_lint_clean():
-    result = lint_benchmarks(scale=0.25)
-    assert result.kernels, "registry produced no kernels"
+    from repro.gates import registry_subjects, run_gate
+
+    result = run_gate(LintCheck(), registry_subjects(scale=0.25))
+    assert result.verdicts, "registry produced no kernels"
     assert result.num_errors == 0, result.to_text()
     assert result.num_warnings == 0, result.to_text()
 
@@ -428,9 +430,9 @@ def test_cli_lint_subcommand(tmp_path, capsys):
     assert code == 0
     assert "verifier: clean" in capsys.readouterr().out
     doc = json.loads(out.read_text())
-    assert doc["schema"] == "repro-lint-report-v1"
+    assert doc["schema"] == "repro-gate-report-v1"
     assert doc["num_errors"] == 0
-    assert doc["kernels"]
+    assert doc["verdicts"]
 
 
 def test_cli_lint_rejects_unknown_benchmark():

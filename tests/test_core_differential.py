@@ -12,10 +12,10 @@ from __future__ import annotations
 import pytest
 
 from repro.fexec import run_kernel
-from repro.fuzz.spec import generate_spec
+from repro.fuzz.oracle import OPTION_SETS
+from repro.gates import registry_subjects, run_gate, seed_subjects
 from repro.sim.differential import (
-    diff_registry_kernel,
-    diff_spec,
+    CoreDiffCheck,
     diff_traces,
     differential_gpus,
 )
@@ -29,7 +29,7 @@ def _traces(program, image_factory, launch):
 def _assert_all_ok(diffs):
     bad = [d for d in diffs if not d.ok]
     assert not bad, "\n".join(
-        line for d in bad for line in d.mismatches
+        line for d in bad for line in d.detail
     )
     assert diffs, "differential compared nothing"
 
@@ -46,27 +46,28 @@ def test_canonical_kernels_bit_identical(setup_name, request):
     ]
     _assert_all_ok(diffs)
     # The comparison is non-vacuous: real cycles were simulated.
-    assert all(d.ref_cycles > 0 for d in diffs)
+    assert all(d.fields["ref_cycles"] > 0 for d in diffs)
 
 
 def test_fuzz_spec_sample_bit_identical():
     """Two specs x (plain + specializations) x the GPU matrix."""
     for seed in (0, 7):
-        _assert_all_ok(diff_spec(generate_spec(seed)))
+        subjects = seed_subjects([seed], option_sets=OPTION_SETS, plain=True)
+        _assert_all_ok(run_gate(CoreDiffCheck(), subjects).verdicts)
 
 
 def test_registry_sample_bit_identical():
     from repro.experiments.configs import standard_configs
     from repro.workloads.registry import get_benchmark
 
-    bench = get_benchmark("pointnet", scale=0.125)
     config = next(
         c for c in standard_configs() if c.name == "WASP_GPU"
     )
-    diffs = []
-    for kernel in bench.kernels:
-        diffs.extend(diff_registry_kernel(kernel, config))
-    _assert_all_ok(diffs)
+    report = run_gate(CoreDiffCheck(), registry_subjects(
+        ["pointnet"], scale=0.125, configs=[config],
+    ))
+    assert report.subjects == len(get_benchmark("pointnet", 0.125).kernels)
+    _assert_all_ok(report.verdicts)
 
 
 def test_deadlock_parity_counts_as_ok():
@@ -84,9 +85,10 @@ def test_deadlock_parity_counts_as_ok():
     )
     for gpu in (baseline_a100(), wasp_gpu()):
         diff = diff_traces([trace], gpu, "deadlock")
-        assert diff.ok, diff.mismatches
+        assert diff.ok, diff.detail
         # Neither core produced cycles: both raised.
-        assert diff.ref_cycles == 0.0 and diff.event_cycles == 0.0
+        assert diff.fields["ref_cycles"] == 0.0
+        assert diff.fields["event_cycles"] == 0.0
 
 
 def test_mismatch_is_reported_not_swallowed(monkeypatch, stream_setup):
@@ -105,4 +107,4 @@ def test_mismatch_is_reported_not_swallowed(monkeypatch, stream_setup):
     traces = _traces(program, image_factory, launch)
     diff = diff_traces(traces, wasp_gpu(), "doctored")
     assert not diff.ok
-    assert any("cycles" in line for line in diff.mismatches)
+    assert any("cycles" in line for line in diff.detail)

@@ -14,14 +14,13 @@ from dataclasses import replace
 from tests.test_analysis_dataflow import build_ring_program
 
 from repro.analysis.dataflow.hb import HBAnalysis
-from repro.analysis.racediff import (
-    diff_races,
-    racediff_spec,
-)
+from repro.analysis.racediff import RaceDiffCheck, diff_races
 from repro.core.specs import ThreadBlockSpec
 from repro.fexec import LaunchConfig, MemoryImage, run_kernel
 from repro.fuzz.corpus import load_corpus
 from repro.fuzz.mutate import apply_mutation
+from repro.fuzz.oracle import OPTION_SETS
+from repro.gates import corpus_subjects, run_gate
 from repro.isa import ProgramBuilder, SpecialReg
 from repro.sim import simulate_program
 from repro.sim.config import baseline_a100
@@ -154,7 +153,7 @@ def test_racediff_clean_on_the_ring():
         LaunchConfig(num_warps=2),
     )
     assert diff.ok
-    assert diff.num_dynamic == 0
+    assert diff.fields["num_dynamic"] == 0
     assert diff.to_json()["ok"] is True
 
 
@@ -169,8 +168,8 @@ def test_racediff_covers_observed_races():
         MemoryImage(1 << 10),
         LaunchConfig(num_warps=2),
     )
-    assert diff.num_dynamic >= 1
-    assert diff.ok, diff.missing
+    assert diff.fields["num_dynamic"] >= 1
+    assert diff.ok, diff.detail
 
 
 def test_racediff_flags_a_static_false_negative():
@@ -185,7 +184,7 @@ def test_racediff_flags_a_static_false_negative():
         analysis=HBAnalysis(),
     )
     assert not diff.ok
-    assert diff.missing
+    assert diff.detail
 
 
 def test_racediff_skips_programs_that_fault():
@@ -204,7 +203,11 @@ def test_racediff_skips_programs_that_fault():
 def test_racediff_corpus_has_no_static_false_negatives():
     entries = [e for e in load_corpus() if e.inject is None]
     assert entries
-    diffs = [d for e in entries for d in racediff_spec(e.spec)]
+    report = run_gate(RaceDiffCheck(), corpus_subjects(
+        option_sets=OPTION_SETS, clean_only=True,
+    ))
+    assert report.subjects == len(entries) * len(OPTION_SETS)
+    diffs = report.verdicts
     assert diffs
     bad = [d for d in diffs if not d.ok]
-    assert not bad, [(d.label, d.missing) for d in bad]
+    assert not bad, [(d.label, d.detail) for d in bad]

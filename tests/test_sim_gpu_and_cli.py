@@ -71,7 +71,7 @@ def test_empty_kernel_list_rejected():
 def test_cli_parser_and_list(capsys):
     parser = build_parser()
     args = parser.parse_args(["fig14", "--scale", "0.1"])
-    assert args.artifact == "fig14" and args.scale == 0.1
+    assert args.command == "fig14" and args.scale == 0.1
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "fig14" in out and "table4" in out
@@ -99,10 +99,11 @@ def test_cli_profile_subcommand(tmp_path, capsys):
     trace_path = tmp_path / "trace.json"
     json_path = tmp_path / "profile.json"
     assert main([
-        "profile", "pointnet", "--scale", "0.1", "--no-cache",
+        "profile", "pointnet", "--scale", "0.1", "--no-cache", "--sanitize",
         "--trace-out", str(trace_path), "--json-out", str(json_path),
     ]) == 0
     out = capsys.readouterr().out
+    assert "sanitizer: no SMEM races observed" in out
     assert "Stall breakdown" in out
     assert "active warp-cycles" in out
     assert "perfetto" in out

@@ -10,7 +10,7 @@ Covers the ISSUE 7 contracts:
   ``--jobs 2`` identical invariant counters),
 * span export into the Chrome trace writer,
 * the ``repro bench report`` trajectory dashboard,
-* the per-core perf fields on ``CoreDiff`` / ``SweepReport``.
+* the per-core perf fields on corediff verdicts / ``SweepReport``.
 """
 
 from __future__ import annotations
@@ -450,19 +450,22 @@ def test_sweep_telemetry_jobs_invariant(clean_telemetry,
 
 
 def test_corediff_speedup_and_json():
-    from repro.sim.differential import CoreDiff
+    from repro.gates import GateReport, Verdict
+    from repro.sim.differential import CoreDiffCheck
 
-    diff = CoreDiff(label="k/cfg", ref_wall_s=0.4, event_wall_s=0.1,
-                    ref_issued=100, event_issued=100,
-                    event_events=42)
+    diff = Verdict("k/cfg", fields={
+        "ref_wall_s": 0.4, "event_wall_s": 0.1, "ref_issued": 100,
+        "event_issued": 100, "event_events": 42,
+    })
+    report = GateReport(CoreDiffCheck(), [diff])
     assert diff.ok
-    assert diff.speedup == pytest.approx(4.0)
-    doc = diff.to_json()
-    assert doc["speedup"] == pytest.approx(4.0)
+    assert "event 4.00x faster overall" in report.summary_line()
+    doc = report.to_json()["verdicts"][0]
     assert doc["event_events"] == 42
     assert doc["ok"] is True
     # Failed-before-run diffs must not divide by zero.
-    assert CoreDiff(label="x").speedup == 0.0
+    idle = Verdict("x", fields={"ref_wall_s": 0.0, "event_wall_s": 0.0})
+    assert "faster" not in GateReport(CoreDiffCheck(), [idle]).summary_line()
 
 
 def test_diff_traces_populates_perf_fields(isolated_cache):
@@ -474,10 +477,14 @@ def test_diff_traces_populates_perf_fields(isolated_cache):
     kernel = bench.kernels[0]
     traces = isolated_cache.original(kernel).traces
     diff = diff_traces(traces, baseline_a100(), "pointnet/BASELINE")
-    assert diff.ok, diff.mismatches
-    assert diff.ref_wall_s > 0 and diff.event_wall_s > 0
-    assert diff.ref_issued == diff.event_issued > 0
-    assert diff.event_events > 0
+    assert diff.ok, diff.detail
+    fields = diff.fields
+    assert fields["ref_wall_s"] > 0 and fields["event_wall_s"] > 0
+    assert fields["speedup"] == pytest.approx(
+        fields["ref_wall_s"] / fields["event_wall_s"], rel=1e-2
+    )
+    assert fields["ref_issued"] == fields["event_issued"] > 0
+    assert fields["event_events"] > 0
 
 
 # -- perf-trajectory dashboard ----------------------------------------------
@@ -563,31 +570,32 @@ def test_check_telemetry_overhead_gate():
 
 
 def test_cli_bench_report(tmp_path, capsys):
-    from repro.cli import run_bench_report
+    from repro.cli import main
 
     (tmp_path / "BENCH_core.json").write_text(
         json.dumps(_bench_doc({"a/ev": 10.0}))
     )
     out_path = tmp_path / "report.json"
-    rc = run_bench_report([
+    rc = main([
+        "bench", "report",
         "--dir", str(tmp_path), "--json-out", str(out_path),
     ])
     assert rc == 0
     assert "Perf trajectory" in capsys.readouterr().out
     doc = json.loads(out_path.read_text())
     assert doc["schema"] == "repro-bench-report-v1"
-    assert run_bench_report(["--dir", str(tmp_path / "empty")]) == 1
+    assert main(["bench", "report", "--dir", str(tmp_path / "empty")]) == 1
 
 
 def test_cli_metrics_snapshot(tmp_path, capsys, clean_telemetry,
                               isolated_cache):
-    from repro.cli import run_metrics
+    from repro.cli import main
     from repro.telemetry.snapshot import main as validate_main
 
     json_path = tmp_path / "metrics.json"
     prom_path = tmp_path / "metrics.prom"
-    rc = run_metrics([
-        "--benchmarks", "pointnet", "--scale", "0.1",
+    rc = main([
+        "metrics", "--benchmarks", "pointnet", "--scale", "0.1",
         "--json-out", str(json_path), "--prom-out", str(prom_path),
         "--cache-dir", str(tmp_path / "cache"),
     ])
