@@ -1006,18 +1006,6 @@ class _SectionWalker:
         return SLoad(family, canon, fallback_writes)
 
 
-def _marker_tags(e: Expr) -> set[str]:
-    tags: set[str] = set()
-
-    def fn(node: Expr) -> Expr:
-        if isinstance(node, Marker):
-            tags.add(node.tag)
-        return node
-
-    rewrite(e, fn)
-    return tags
-
-
 def _has_opaque(e: Expr) -> bool:
     """True if ``e`` contains a pass-1 opaque (``~pop``/``~lds`` Sym)."""
     found = False

@@ -249,9 +249,9 @@ def _verdict(report: DiagnosticReport) -> str:
 
 def _count(report: DiagnosticReport, verdict: str) -> None:
     # Whether a validation runs at all depends on trace-cache locality
-    # (cached sweeps skip the compile entirely), so like the fuzz
-    # verdict cache these series are ``invariant=False`` — not expected
-    # to be bit-identical across --jobs settings.
+    # (cached sweeps skip the compile entirely), so these series are
+    # ``invariant=False`` — not expected to be bit-identical across
+    # --jobs settings.
     if not TELEMETRY.enabled:
         return
     TELEMETRY.counter(

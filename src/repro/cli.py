@@ -320,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz_flags = _shared(
         seeds=True, jobs=True, corpus=True, json_out=True, telemetry=True,
-        cache=True,
     )
     fuzz_flags.set_defaults(seeds=100)
     fuzz = command(

@@ -44,12 +44,6 @@ class PDG:
     data_preds: dict[int, set[int]] = field(default_factory=dict)
     data_succs: dict[int, set[int]] = field(default_factory=dict)
 
-    def predecessors_of(self, instr: Instruction) -> set[Instruction]:
-        """Instructions whose definitions may reach ``instr``'s uses."""
-        return {
-            self.instr_by_uid[uid] for uid in self.data_preds.get(instr.uid, ())
-        }
-
     def successors_of(self, instr: Instruction) -> set[Instruction]:
         return {
             self.instr_by_uid[uid] for uid in self.data_succs.get(instr.uid, ())

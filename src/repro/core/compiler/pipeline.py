@@ -25,6 +25,7 @@ from repro.core.compiler.pdg import build_pdg
 from repro.core.compiler.stagesplit import (
     StageProgram,
     build_stage_programs,
+    renumber_keys,
     tag_keys,
 )
 from repro.core.compiler.tma_offload import OffloadReport, offload_pipeline
@@ -141,13 +142,6 @@ class CompileResult:
     #: or the compile was not specialized).
     transval: object | None = None
 
-    @property
-    def uniform_registers(self) -> int:
-        """Per-thread allocation under uniform (non-WASP) allocation."""
-        if not self.stage_registers:
-            return self.original_registers
-        return max(self.stage_registers)
-
 
 class WaspCompiler:
     """Automatic warp specialization for SASS-like kernels.
@@ -248,6 +242,7 @@ class WaspCompiler:
                 smem_words=work.smem_words,
                 smem_buffers=work.smem_buffers,
             )
+        renumber_keys(combined)
         diagnostics: list = []
         if opts.verify:
             # Imported lazily: the analysis package partitions the

@@ -51,6 +51,20 @@ def tag_keys(program: Program) -> None:
         instr.attrs[KEY_ATTR] = instr.uid
 
 
+def renumber_keys(program: Program) -> None:
+    """Replace each uid-valued key by its first-appearance ordinal.
+
+    Uids come from a process-wide counter, so without this the emitted
+    program (and its canonical digest) would depend on how many
+    instructions the process built before this compile.
+    """
+    ordinals: dict[int, int] = {}
+    for instr in program.instructions():
+        key = instr.attrs.get(KEY_ATTR)
+        if key is not None:
+            instr.attrs[KEY_ATTR] = ordinals.setdefault(key, len(ordinals))
+
+
 @dataclass
 class StageProgram:
     """One pipeline stage's program plus bookkeeping."""

@@ -129,42 +129,46 @@ class SweepReport:
     #: Predicted-vs-simulated per sweep row (``predict=True`` sweeps).
     prediction_rows: list[PredictionRow] = field(default_factory=list)
 
-    def merge(self, other: "SweepReport") -> None:
-        self.jobs = max(self.jobs, other.jobs)
-        self.num_tasks += other.num_tasks
-        self.wall_seconds += other.wall_seconds
-        self.worker_seconds += other.worker_seconds
-        self.stats.merge(other.stats)
-        self.timings.extend(other.timings)
-        for key, cycles in other.stall_cycles.items():
-            self.stall_cycles[key] = (
-                self.stall_cycles.get(key, 0.0) + cycles
-            )
-        self.issued_total += other.issued_total
-        self.active_warp_cycles += other.active_warp_cycles
-        self.prediction_rows.extend(other.prediction_rows)
-
-    def add_sim(self, sim) -> None:
-        """Fold one ``SimResult``'s stall attribution into the sweep."""
+    def record(
+        self,
+        task: "KernelTask",
+        phase: str,
+        seconds: float,
+        stats: CacheStats,
+        tel: MetricsSnapshot | None = None,
+        result=None,
+    ) -> None:
+        """Fold one finished task into the sweep: its cache-stats and
+        telemetry deltas, its time and, for a simulate task, its
+        result's stall attribution and predicted-vs-simulated row."""
+        self.stats.merge(stats)
+        if tel is not None:
+            TELEMETRY.merge_snapshot(tel)
+        self.worker_seconds += seconds
+        self.timings.append(TaskTiming(
+            benchmark=task.benchmark,
+            kernel=task.kernel,
+            config_name=task.config.name,
+            phase=phase,
+            seconds=seconds,
+        ))
+        if result is None:
+            return
+        sim = result.sim
         for key, cycles in sim.stall_cycles.items():
             self.stall_cycles[key] = (
                 self.stall_cycles.get(key, 0.0) + cycles
             )
         self.issued_total += sim.issued_total
         self.active_warp_cycles += sim.active_warp_cycles
-
-    def add_prediction(self, task: "KernelTask", result) -> None:
-        """Record the row's predicted-vs-simulated error, if any."""
-        prediction = getattr(result, "prediction", None)
-        if prediction is None:
-            return
-        self.prediction_rows.append(PredictionRow(
-            benchmark=task.benchmark,
-            kernel=task.kernel,
-            config_name=task.config.name,
-            predicted_cycles=prediction.cycles,
-            simulated_cycles=result.cycles,
-        ))
+        if result.prediction is not None:
+            self.prediction_rows.append(PredictionRow(
+                benchmark=task.benchmark,
+                kernel=task.kernel,
+                config_name=task.config.name,
+                predicted_cycles=result.prediction.cycles,
+                simulated_cycles=result.cycles,
+            ))
 
     def slowest_tasks(self, count: int = 5) -> list[TaskTiming]:
         return sorted(
@@ -315,30 +319,28 @@ def _run_warm_task(spec: tuple[KernelTask, str]):
             _tel_delta(tel_before))
 
 
-def _run_sim_task(task: KernelTask):
-    """Time one kernel×config; returns a kernel-stripped result."""
-    start = time.perf_counter()
+def _simulate(task: KernelTask, kernel) -> tuple[KernelResult, CacheStats]:
+    """Time one kernel×config in this process, with its cache delta."""
     before = GLOBAL_CACHE.stats.snapshot()
-    tel_before = _tel_before()
-    kernel = _task_kernel(task)
     result = run_kernel(
         kernel, task.config, GLOBAL_CACHE, predict=task.predict
     )
+    return result, GLOBAL_CACHE.stats.since(before)
+
+
+def _run_sim_task(task: KernelTask):
+    """Time one kernel×config; returns a kernel-stripped result."""
+    start = time.perf_counter()
+    tel_before = _tel_before()
+    result, stats = _simulate(task, _task_kernel(task))
     # Kernels carry closure-based image factories that cannot be
     # pickled back; the parent reattaches its own Kernel object.
     result.kernel = None
     elapsed = time.perf_counter() - start
-    return (task, result, elapsed, GLOBAL_CACHE.stats.since(before),
-            _tel_delta(tel_before))
+    return task, result, elapsed, stats, _tel_delta(tel_before)
 
 
 # -- orchestration ----------------------------------------------------------
-
-
-def _options_key_of(kernel, config: EvalConfig):
-    from repro.experiments.runner import _options_key
-
-    return _options_key(_compiler_options_for(kernel, config))
 
 
 def run_sweep(
@@ -450,25 +452,10 @@ def _harvest_pool(report: SweepReport) -> None:
 def _run_serial(tasks, benchmarks, results, report) -> None:
     for task in tasks:
         kernel = benchmarks[task.benchmark].kernel(task.kernel)
-        before = GLOBAL_CACHE.stats.snapshot()
         start = time.perf_counter()
-        result = run_kernel(
-            kernel, task.config, GLOBAL_CACHE, predict=task.predict
-        )
+        result, stats = _simulate(task, kernel)
         elapsed = time.perf_counter() - start
-        report.stats.merge(GLOBAL_CACHE.stats.since(before))
-        report.worker_seconds += elapsed
-        report.add_sim(result.sim)
-        report.add_prediction(task, result)
-        report.timings.append(
-            TaskTiming(
-                benchmark=task.benchmark,
-                kernel=task.kernel,
-                config_name=task.config.name,
-                phase="simulate",
-                seconds=elapsed,
-            )
-        )
+        report.record(task, "simulate", elapsed, stats, result=result)
         results[(task.benchmark, task.kernel, task.config_index)] = result
 
 
@@ -487,21 +474,7 @@ def _run_parallel(tasks, benchmarks, results, report, jobs) -> None:
             _run_sim_task, tasks, chunksize=1
         ):
             result.kernel = benchmarks[task.benchmark].kernel(task.kernel)
-            report.stats.merge(stats)
-            if tel is not None:
-                TELEMETRY.merge_snapshot(tel)
-            report.worker_seconds += elapsed
-            report.add_sim(result.sim)
-            report.add_prediction(task, result)
-            report.timings.append(
-                TaskTiming(
-                    benchmark=task.benchmark,
-                    kernel=task.kernel,
-                    config_name=task.config.name,
-                    phase="simulate",
-                    seconds=elapsed,
-                )
-            )
+            report.record(task, "simulate", elapsed, stats, tel, result)
             results[(task.benchmark, task.kernel, task.config_index)] = result
 
 
@@ -510,32 +483,23 @@ def _warm_phase(pool, tasks, benchmarks, report) -> None:
 
     Two waves: plain-kernel traces (which every ``run_kernel`` call
     needs) first, then warp-specialized ones.  Each wave is deduplicated
-    on (kernel content digest, options key), so no two workers ever
-    generate the same trace concurrently.
+    on the trace cache key, so no two workers ever generate the same
+    trace concurrently.
     """
     originals: dict[str, tuple[KernelTask, str]] = {}
-    specialized: dict[tuple, tuple[KernelTask, str]] = {}
+    specialized: dict[str, tuple[KernelTask, str]] = {}
     for task in tasks:
         kernel = benchmarks[task.benchmark].kernel(task.kernel)
-        digest = kernel.content_digest()
-        originals.setdefault(digest, (task, "original"))
-        okey = _options_key_of(kernel, task.config)
-        if okey is not None:
-            specialized.setdefault((digest, okey), (task, "specialized"))
+        originals.setdefault(
+            GLOBAL_CACHE.key_for(kernel, None), (task, "original")
+        )
+        options = _compiler_options_for(kernel, task.config)
+        if options is not None:
+            specialized.setdefault(
+                GLOBAL_CACHE.key_for(kernel, options), (task, "specialized")
+            )
     for wave in (list(originals.values()), list(specialized.values())):
         for task, elapsed, stats, tel in pool.map(
             _run_warm_task, wave, chunksize=1
         ):
-            report.stats.merge(stats)
-            if tel is not None:
-                TELEMETRY.merge_snapshot(tel)
-            report.worker_seconds += elapsed
-            report.timings.append(
-                TaskTiming(
-                    benchmark=task.benchmark,
-                    kernel=task.kernel,
-                    config_name=task.config.name,
-                    phase="warm",
-                    seconds=elapsed,
-                )
-            )
+            report.record(task, "warm", elapsed, stats, tel)

@@ -8,15 +8,18 @@ kernel on the same hardware.
 
 Cache entries are **content-addressed**: the key is a SHA-256 over the
 kernel's canonical IR encoding, launch geometry, initial memory image
-and the compiler-option tuple (see :meth:`Kernel.content_digest`), so
+(see :meth:`Kernel.content_digest`) and every compiler option, so
 structurally identical kernels share an entry regardless of object
 identity, and entries persist across processes through the on-disk
-:class:`~repro.fexec.trace_store.TraceStore`.
+:class:`~repro.fexec.trace_store.TraceStore`.  A specialized entry also
+records the digest of the program it traced; a load whose recompile
+yields a different program is a miss.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass, field, replace
 
 from repro.core.compiler import (
@@ -34,23 +37,6 @@ from repro.sim.gpu import SimResult, simulate_kernel
 from repro.telemetry.registry import TELEMETRY
 from repro.telemetry.spans import span
 from repro.workloads.base import Benchmark, Kernel
-
-_OPT_KEY_FIELDS = (
-    "enable_streaming",
-    "enable_tile",
-    "enable_tma_offload",
-    "double_buffering",
-    "max_stages",
-    "queue_size",
-    "smem_capacity_words",
-)
-
-
-def _options_key(options: WaspCompilerOptions | None):
-    if options is None:
-        return None
-    return tuple(getattr(options, f) for f in _OPT_KEY_FIELDS)
-
 
 @dataclass
 class CacheStats:
@@ -144,10 +130,17 @@ class TraceCache:
     def key_for(
         self, kernel: Kernel, options: WaspCompilerOptions | None
     ) -> str:
-        """Content-addressed cache key for (kernel, options)."""
+        """Content-addressed cache key for (kernel, options).
+
+        The options enter through their own :meth:`to_json`, so every
+        compiler option is part of the key, including any added later.
+        """
+        opts = None if options is None else json.dumps(
+            options.to_json(), sort_keys=True
+        )
         text = (
             f"{kernel.content_digest()}"
-            f"|opts={_options_key(options)!r}"
+            f"|opts={opts}"
             f"|format={TRACE_FORMAT_VERSION}"
         )
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -186,9 +179,9 @@ class TraceCache:
 
         For specialized entries the (cheap) compilation is re-run to
         reconstruct the :class:`CompileResult`; only the expensive
-        functional execution is skipped.  A disagreement between the
-        stored metadata and the recompile — the compiler changed under
-        a stale cache — falls through to regeneration.
+        functional execution is skipped.  If the recompiled program's
+        digest differs from the one the traces were taken of — the
+        compiler changed under a stale cache — the load is a miss.
         """
         if self.store is None:
             return None
@@ -206,7 +199,7 @@ class TraceCache:
         )
         if not result.specialized:
             return None
-        if payload.get("num_stages") != result.num_stages:
+        if payload.get("program") != result.program.canonical_digest():
             return None
         self.stats.disk_hits += 1
         return _TraceEntry(traces=payload["traces"], compile_result=result)
@@ -238,7 +231,9 @@ class TraceCache:
                 ).traces
             self.stats.generations += 1
             entry = _TraceEntry(traces=traces, compile_result=result)
-            self._persist(key, entry, num_stages=result.num_stages)
+            self._persist(
+                key, entry, program=result.program.canonical_digest()
+            )
         else:
             # Nothing expensive to persist: rediscovering "does not
             # specialize" is a compile, not a functional run.

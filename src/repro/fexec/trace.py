@@ -107,9 +107,6 @@ class KernelTrace:
                 counts[category] = counts.get(category, 0) + count
         return counts
 
-    def stage_ids(self) -> list[int]:
-        return sorted({w.pipe_stage_id for w in self.warps})
-
 
 # -- serialization ----------------------------------------------------------
 #

@@ -164,9 +164,6 @@ class TraceStore:
 
     # -- maintenance --------------------------------------------------------
 
-    def contains(self, key: str) -> bool:
-        return self._path(key).is_file()
-
     def entry_count(self) -> int:
         if not self.cache_dir.is_dir():
             return 0

@@ -22,7 +22,7 @@ Pieces:
 * :mod:`repro.fuzz.corpus` — persists failures under ``tests/corpus/``
   so every past failure becomes a permanent regression test;
 * :mod:`repro.fuzz.runner` — the ``repro fuzz`` fan-out (parallel,
-  verdict-cached, deterministic across ``--jobs``).
+  every seed checked afresh, deterministic across ``--jobs``).
 """
 
 from repro.fuzz.corpus import (

@@ -135,9 +135,7 @@ def replay_entry(entry: CorpusEntry) -> list[FuzzFailure]:
     """
     from repro.fuzz.oracle import run_oracle
 
-    return run_oracle(
-        entry.spec, inject=entry.inject, use_verdict_cache=False,
-    ).failures
+    return run_oracle(entry.spec, inject=entry.inject).failures
 
 
 class ReplayCheck:

@@ -11,7 +11,7 @@ exercise the stage-split path.
 The returned :class:`~repro.workloads.base.Kernel` is deterministic:
 building the same spec twice yields programs with identical canonical
 encodings and images with identical content digests, which is what
-makes fuzz traces and oracle verdicts content-addressable.
+makes fuzz kernels content-addressable in the trace cache.
 """
 
 from __future__ import annotations
@@ -58,11 +58,6 @@ def _fp_chain(b: ProgramBuilder, value: Register, spec: FuzzSpec) -> Register:
     for k in range(spec.fp_ops):
         acc = b.ffma(acc, spec.scale_imm, 0.125 * (k + 1))
     return acc
-
-
-def _reduce_into(b: ProgramBuilder, acc: Register, value) -> None:
-    # Used by skeletons whose reduce_op stays 'sum'.
-    b.fadd(acc, value, dst=acc)
 
 
 def _launch(spec: FuzzSpec) -> LaunchConfig:

@@ -26,14 +26,12 @@ For one generated spec the oracle:
    ``transval-false-equivalent`` — the validator must never certify a
    broken program.
 
-Passing verdicts are persisted content-addressed in the trace store
-(``.repro_cache/`` by default), so repeated fuzz runs over identical
-seeds are cache hits, not recomputation.  Failures are never cached.
+Nothing is cached: every run re-derives every verdict from the current
+compiler, so a pass always means the code under test passed.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -45,21 +43,10 @@ from repro.errors import CompilerError, ReproError, VerificationError
 from repro.fexec.machine import run_kernel
 from repro.fexec.trace import KernelTrace
 from repro.fuzz.generator import build_kernel
-from repro.fuzz.spec import SPEC_VERSION, FuzzSpec
+from repro.fuzz.spec import FuzzSpec
 from repro.gates import widened_launch
 from repro.isa.opcodes import Opcode
-from repro.telemetry.registry import TELEMETRY
 from repro.workloads.base import Kernel
-
-#: Bumped whenever oracle checks change; invalidates cached verdicts.
-#: v2: passing verdicts carry W-level verifier warnings (e.g. WASP-Q006)
-#: so cached seeds still surface them in per-seed reports.
-#: v3: deep-ring variant compiles every spec at pipeline_depth=4.
-#: v4: translation-validation cross-check — every compiled variant's
-#: static verdict is recorded in the cached payload and must agree
-#: with the functional oracle (``transval-disagreement`` /
-#: ``transval-false-equivalent`` failures otherwise).
-ORACLE_VERSION = 4
 
 #: Deterministic compiler option tuples every spec is compiled under.
 OPTION_SETS: tuple[tuple[str, WaspCompilerOptions], ...] = (
@@ -96,16 +83,6 @@ class FuzzWarning:
             "message": self.message,
             "location": self.location,
         }
-
-    @classmethod
-    def from_json(cls, doc: dict[str, Any]) -> "FuzzWarning":
-        return cls(
-            seed=int(doc["seed"]),
-            options_name=doc.get("options", ""),
-            rule=doc["rule"],
-            message=doc.get("message", ""),
-            location=doc.get("location", ""),
-        )
 
     def summary(self) -> str:
         return (
@@ -176,48 +153,15 @@ class OracleReport:
     failures: list[FuzzFailure] = field(default_factory=list)
     specialized_under: list[str] = field(default_factory=list)
     #: W-level verifier diagnostics per compiled variant (see
-    #: :class:`FuzzWarning`); populated on cache hits too.
+    #: :class:`FuzzWarning`).
     warnings: list[FuzzWarning] = field(default_factory=list)
     #: Translation-validation verdict per compiled variant name
-    #: (``equivalent`` / ``not-equivalent`` / ``abstain``); part of the
-    #: cached passing payload so cache hits keep the certificates.
+    #: (``equivalent`` / ``not-equivalent`` / ``abstain``).
     transval_verdicts: dict[str, str] = field(default_factory=dict)
-    from_cache: bool = False
 
     @property
     def passed(self) -> bool:
         return not self.failures
-
-
-def verdict_key(kernel: Kernel, metamorphic: bool) -> str:
-    """Content-addressed key for a cached passing verdict."""
-    from repro.experiments.runner import _options_key
-
-    opts = "|".join(
-        f"{name}={_options_key(o)!r}" for name, o in OPTION_SETS
-    )
-    text = (
-        f"fuzz-verdict|{kernel.content_digest()}|{opts}"
-        f"|meta={int(metamorphic)}|v={ORACLE_VERSION}.{SPEC_VERSION}"
-    )
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _store():
-    from repro.experiments.runner import GLOBAL_CACHE
-
-    return GLOBAL_CACHE.store
-
-
-def _tel_verdict(outcome: str) -> None:
-    """Count one verdict-cache lookup.  Disk locality depends on prior
-    runs, so the series is ``invariant=False``."""
-    if not TELEMETRY.enabled:
-        return
-    TELEMETRY.counter(
-        "repro_fuzz_verdict_cache_total", {"outcome": outcome},
-        help="Fuzz verdict-cache lookups by outcome", invariant=False,
-    ).inc()
 
 
 def _count_opcode(traces: list[KernelTrace], *opcodes: Opcode) -> int:
@@ -267,42 +211,15 @@ def run_oracle(
     spec: FuzzSpec,
     metamorphic: bool = True,
     inject: str | None = None,
-    use_verdict_cache: bool = True,
 ) -> OracleReport:
     """Run every oracle check for ``spec``.
 
     ``inject`` names a :mod:`repro.fuzz.mutate` corruption applied to
     each compiled program before execution — the self-test proving the
-    oracle catches real stage-split bugs.  Injected runs never touch
-    the verdict cache.
+    oracle catches real stage-split bugs.
     """
     report = OracleReport(spec=spec)
     kernel = build_kernel(spec)
-
-    cacheable = use_verdict_cache and inject is None
-    store = _store() if cacheable else None
-    key = verdict_key(kernel, metamorphic) if store is not None else None
-    if store is not None and key is not None:
-        payload = store.load(key)
-        hit = (
-            payload is not None
-            and payload.get("fuzz_verdict") == "pass"
-        )
-        _tel_verdict("hit" if hit else "miss")
-        if hit:
-            report.from_cache = True
-            report.specialized_under = list(
-                payload.get("specialized_under", [])
-            )
-            report.warnings = [
-                FuzzWarning.from_json(doc)
-                for doc in payload.get("warnings", [])
-            ]
-            report.transval_verdicts = dict(
-                payload.get("transval_verdicts", {})
-            )
-            return report
-
     reference = kernel.image_factory()
     ref_result = run_kernel(kernel.program, reference, kernel.launch)
     want = reference.snapshot()
@@ -320,13 +237,6 @@ def run_oracle(
             check_timing_invariants(spec, kernel, ref_result.traces)
         )
 
-    if store is not None and key is not None and report.passed:
-        store.save(
-            key, [], fuzz_verdict="pass",
-            specialized_under=report.specialized_under,
-            warnings=[w.to_json() for w in report.warnings],
-            transval_verdicts=dict(report.transval_verdicts),
-        )
     return report
 
 

@@ -3,10 +3,9 @@
 Seeds are independent oracle tasks, fanned out over the same process
 pool discipline as the experiment sweeps (:mod:`repro.experiments.
 parallel`): job count comes from ``--jobs``, else ``REPRO_JOBS``, else
-1; workers share the content-addressed trace store, where passing
-oracle verdicts are cached so re-fuzzing identical seeds costs one
-disk read per seed; and results are assembled **by seed**, so
-``--jobs N`` reports exactly what ``--jobs 1`` reports.
+1; every seed is checked afresh (nothing is cached between runs); and
+results are assembled **by seed**, so ``--jobs N`` reports exactly what
+``--jobs 1`` reports.
 
 Failing seeds are shrunk in the parent (serial — shrinking is a
 search, not a map) and optionally persisted to the corpus.  An
@@ -23,13 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.experiments.parallel import (
-    _tel_before,
-    _tel_delta,
-    _worker_init,
-    resolve_jobs,
-)
-from repro.experiments.runner import GLOBAL_CACHE
+from repro.experiments.parallel import _tel_before, _tel_delta, resolve_jobs
 from repro.telemetry.registry import TELEMETRY
 from repro.fuzz.oracle import (
     FuzzFailure,
@@ -48,7 +41,6 @@ class FuzzTask:
     seed: int
     metamorphic: bool = True
     inject: str | None = None
-    use_verdict_cache: bool = True
 
 
 @dataclass
@@ -60,7 +52,6 @@ class FuzzReport:
     jobs: int = 1
     wall_seconds: float = 0.0
     budget_exhausted: bool = False
-    verdict_cache_hits: int = 0
     #: Compiler option-set name -> number of seeds it specialized.
     specialized_counts: dict[str, int] = field(default_factory=dict)
     skeleton_counts: dict[str, int] = field(default_factory=dict)
@@ -89,7 +80,6 @@ class FuzzReport:
             "jobs": self.jobs,
             "wall_seconds": round(self.wall_seconds, 3),
             "budget_exhausted": self.budget_exhausted,
-            "verdict_cache_hits": self.verdict_cache_hits,
             "specialized_counts": dict(
                 sorted(self.specialized_counts.items())
             ),
@@ -106,7 +96,7 @@ class FuzzReport:
             f"fuzz: {self.seeds_run}/{self.seeds_requested} seeds "
             f"(jobs={self.jobs}, {self.wall_seconds:.1f}s"
             + (", budget exhausted" if self.budget_exhausted else "")
-            + f", {self.verdict_cache_hits} verdict cache hits)",
+            + ")",
             "  skeletons: " + ", ".join(
                 f"{name}={count}"
                 for name, count in sorted(self.skeleton_counts.items())
@@ -132,13 +122,17 @@ class FuzzReport:
         return lines
 
 
+def _worker_init(telemetry: bool) -> None:
+    if telemetry:
+        TELEMETRY.enable()
+
+
 def _run_fuzz_task(task: FuzzTask):
     tel_before = _tel_before()
     report = run_oracle(
         generate_spec(task.seed),
         metamorphic=task.metamorphic,
         inject=task.inject,
-        use_verdict_cache=task.use_verdict_cache,
     )
     return task.seed, report, _tel_delta(tel_before)
 
@@ -153,7 +147,6 @@ def run_fuzz(
     time_budget: float | None = None,
     save_corpus: bool = False,
     corpus_dir: Path | None = None,
-    use_verdict_cache: bool = True,
 ) -> FuzzReport:
     """Fuzz seeds ``seed_base .. seed_base + seeds - 1``.
 
@@ -169,7 +162,6 @@ def run_fuzz(
             seed=seed_base + i,
             metamorphic=metamorphic,
             inject=inject,
-            use_verdict_cache=use_verdict_cache,
         )
         for i in range(seeds)
     ]
@@ -193,12 +185,10 @@ def run_fuzz(
             seed, oracle, _ = _run_fuzz_task(task)
             results[seed] = oracle
     else:
-        store = GLOBAL_CACHE.store
-        cache_dir = str(store.cache_dir) if store is not None else None
         with ProcessPoolExecutor(
             max_workers=jobs,
             initializer=_worker_init,
-            initargs=(cache_dir, store is not None, TELEMETRY.enabled),
+            initargs=(TELEMETRY.enabled,),
         ) as pool:
             pending = {pool.submit(_run_fuzz_task, t) for t in tasks}
             try:
@@ -223,8 +213,6 @@ def run_fuzz(
     for seed in sorted(results):
         oracle = results[seed]
         report.seeds_run += 1
-        if oracle.from_cache:
-            report.verdict_cache_hits += 1
         skeleton = oracle.spec.skeleton
         report.skeleton_counts[skeleton] = (
             report.skeleton_counts.get(skeleton, 0) + 1
@@ -263,8 +251,8 @@ def run_fuzz(
 def _harvest_fuzz(report: FuzzReport) -> None:
     """Fold fuzz pool statistics into the registry.
 
-    Seed counts depend on the wall-clock budget and verdict-cache
-    locality, so every series here is ``invariant=False``.
+    Seed counts depend on the wall-clock budget, so every series here
+    is ``invariant=False``.
     """
     if not TELEMETRY.enabled:
         return

@@ -32,9 +32,7 @@ def shrink_spec(
     """Smallest spec (greedy) whose oracle run still fails ``check``.
 
     ``reproduce`` maps a spec to its list of failures; the default runs
-    the full oracle with ``inject`` (and without the verdict cache —
-    failing runs are never cached, but a *shrunk* candidate might pass
-    and we must not pollute the cache mid-search with partial configs).
+    the full oracle with ``inject``.
     Returns ``spec`` unchanged when nothing smaller reproduces.
     """
     if reproduce is None:
@@ -47,7 +45,6 @@ def shrink_spec(
         def reproduce(candidate: FuzzSpec) -> list:
             return run_oracle(
                 candidate, metamorphic=metamorphic, inject=inject,
-                use_verdict_cache=False,
             ).failures
 
     attempts = 0

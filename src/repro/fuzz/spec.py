@@ -25,7 +25,7 @@ from typing import Any
 SKELETONS = ("streaming", "gather", "tiled", "reduction", "mixed", "deep")
 
 #: Spec format version; bumped when generated programs change for the
-#: same spec, which invalidates cached oracle verdicts.
+#: same spec, so a stored spec names the generator that built it.
 #: v2: deep skeleton added; every sixth seed re-routes to it.
 SPEC_VERSION = 2
 

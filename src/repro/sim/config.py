@@ -156,10 +156,6 @@ class GPUConfig:
                 "expected 'event' or 'reference'"
             )
 
-    def with_core(self, core: str) -> "GPUConfig":
-        """The same GPU timed by a different SM core loop."""
-        return replace(self, core=core)
-
     # -- convenience constructors ----------------------------------------
 
     def with_features(self, features: WaspFeatures) -> "GPUConfig":
@@ -197,10 +193,6 @@ class GPUConfig:
     @property
     def warps_per_sm(self) -> int:
         return self.processing_blocks * self.warp_slots_per_pb
-
-    @property
-    def registers_per_pb(self) -> int:
-        return self.registers_per_sm // self.processing_blocks
 
 
 def baseline_a100() -> GPUConfig:

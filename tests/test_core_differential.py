@@ -70,6 +70,45 @@ def test_registry_sample_bit_identical():
     _assert_all_ok(report.verdicts)
 
 
+def test_registry_deep_ring_subject_replays_its_own_program(monkeypatch):
+    """A ``@d4`` registry subject times the depth-4 program's traces,
+    not the depth-2 entry a shallower subject already cached."""
+    from repro.experiments import runner
+    from repro.experiments.configs import standard_configs
+    from repro.gates import specialize
+
+    monkeypatch.setattr(runner.GLOBAL_CACHE, "_entries", {})
+    monkeypatch.setattr(runner.GLOBAL_CACHE, "store", None)
+    config = next(
+        c for c in standard_configs() if c.name == "WASP_GPU"
+    )
+    subjects = [
+        s for s in registry_subjects(
+            ["3d_unet"], scale=0.1, configs=[config], depths=(2, 4),
+        )
+        if s.kernel.name == "conv_gemm"
+    ]
+    verdicts = {
+        v.label: v for v in run_gate(CoreDiffCheck(), subjects).verdicts
+    }
+    _assert_all_ok(list(verdicts.values()))
+
+    deep = subjects[-1]
+    assert deep.config.compiler.pipeline_depth == 4
+    compiled = specialize(
+        deep.kernel, runner._compiler_options_for(deep.kernel, deep.config)
+    )
+    assert compiled is not None
+    traces = _traces(
+        compiled[0].program, deep.kernel.image_factory, compiled[1]
+    )
+    dynamic = sum(len(w.instrs) for t in traces for w in t.warps)
+    shallow = verdicts["conv_gemm:WASP_GPU:specialized"].fields
+    replayed = verdicts["conv_gemm:WASP_GPU@d4:specialized"].fields
+    assert replayed["ref_issued"] == dynamic
+    assert shallow["ref_issued"] != dynamic  # the two rings differ
+
+
 def test_deadlock_parity_counts_as_ok():
     """Both cores must fail identically — and that parity is ok=True."""
     from repro.fexec.trace import DynamicInstr, KernelTrace, WarpTrace

@@ -83,7 +83,6 @@ def test_verifier_and_oracle_agree(mutation, seed, checks, rule_prefix):
     # Dynamically: the oracle catches the same corruption at runtime.
     oracle = run_oracle(
         generate_spec(seed), metamorphic=False, inject=mutation,
-        use_verdict_cache=False,
     )
     assert oracle.failures, f"oracle blind to {mutation}"
     seen = {f.check for f in oracle.failures}

@@ -1,73 +1,25 @@
-"""The differential oracle: catches nothing on a healthy compiler,
-caches passing verdicts, and never caches injected corruptions."""
+"""The differential oracle: catches nothing on a healthy compiler and
+catches injected corruptions, cross-checked against the verifier."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.runner import GLOBAL_CACHE
-from repro.fexec.trace_store import TraceStore
-from repro.fuzz.oracle import (
-    OPTION_SETS,
-    FuzzFailure,
-    run_oracle,
-    verdict_key,
-)
-from repro.fuzz.generator import build_kernel
+from repro.fuzz.oracle import OPTION_SETS, FuzzFailure, run_oracle
 from repro.fuzz.spec import generate_spec
-
-
-@pytest.fixture
-def tmp_cache(tmp_path):
-    """Point the global cache at a private disk store, then restore."""
-    saved = GLOBAL_CACHE.store
-    GLOBAL_CACHE.store = TraceStore(str(tmp_path / "cache"))
-    try:
-        yield GLOBAL_CACHE.store
-    finally:
-        GLOBAL_CACHE.store = saved
 
 
 @pytest.mark.parametrize("seed", list(range(10)))
 def test_healthy_compiler_passes(seed):
-    report = run_oracle(
-        generate_spec(seed), metamorphic=False, use_verdict_cache=False
-    )
+    report = run_oracle(generate_spec(seed), metamorphic=False)
     assert report.passed, [f.summary() for f in report.failures]
     # Every option set both compiles and specializes these kernels.
     assert set(report.specialized_under) == {n for n, _o in OPTION_SETS}
 
 
-def test_verdict_cached_on_pass(tmp_cache):
-    spec = generate_spec(3)
-    first = run_oracle(spec, metamorphic=False)
-    assert first.passed and not first.from_cache
-    second = run_oracle(spec, metamorphic=False)
-    assert second.passed and second.from_cache
-    assert second.specialized_under == first.specialized_under
-
-
-def test_verdict_key_separates_metamorphic_mode(tmp_cache):
-    kernel = build_kernel(generate_spec(3))
-    assert verdict_key(kernel, True) != verdict_key(kernel, False)
-
-
-def test_injected_runs_never_touch_the_cache(tmp_cache):
-    spec = generate_spec(3)
-    broken = run_oracle(spec, metamorphic=False, inject="drop-push")
-    assert not broken.passed and not broken.from_cache
-    # The injected failure must not have poisoned the verdict cache...
-    clean = run_oracle(spec, metamorphic=False)
-    assert clean.passed and not clean.from_cache
-    # ...and a pass verdict must not leak back into injected runs.
-    broken_again = run_oracle(spec, metamorphic=False, inject="drop-push")
-    assert not broken_again.passed and not broken_again.from_cache
-
-
 def test_failures_cross_checked_against_verifier():
     report = run_oracle(
         generate_spec(3), metamorphic=False, inject="drop-push",
-        use_verdict_cache=False,
     )
     assert report.failures
     assert any(f.verifier_rules for f in report.failures), (
@@ -79,7 +31,6 @@ def test_failures_cross_checked_against_verifier():
 def test_failure_json_round_trip():
     report = run_oracle(
         generate_spec(3), metamorphic=False, inject="drop-push",
-        use_verdict_cache=False,
     )
     for failure in report.failures:
         back = FuzzFailure.from_json(failure.to_json())

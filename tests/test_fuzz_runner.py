@@ -1,5 +1,5 @@
-"""The fuzz fan-out: jobs-determinism, REPRO_JOBS, verdict caching,
-time budget, and the ``repro fuzz`` CLI."""
+"""The fuzz fan-out: jobs-determinism, REPRO_JOBS, time budget, and
+the ``repro fuzz`` CLI."""
 
 from __future__ import annotations
 
@@ -8,53 +8,29 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments.runner import GLOBAL_CACHE
-from repro.fexec.trace_store import TraceStore
 from repro.fuzz.runner import FuzzReport, run_fuzz
 
 SEEDS = 8
 
 
-@pytest.fixture
-def tmp_cache(tmp_path):
-    saved = GLOBAL_CACHE.store
-    GLOBAL_CACHE.store = TraceStore(str(tmp_path / "cache"))
-    try:
-        yield GLOBAL_CACHE.store
-    finally:
-        GLOBAL_CACHE.store = saved
-
-
-@pytest.fixture
-def no_cache():
-    saved = GLOBAL_CACHE.store
-    GLOBAL_CACHE.store = None
-    try:
-        yield
-    finally:
-        GLOBAL_CACHE.store = saved
-
-
 def _comparable(report: FuzzReport) -> dict:
     doc = report.to_json()
-    # Timing, parallelism, and cache warmth legitimately vary between
-    # otherwise-identical runs; everything else must match exactly.
+    # Timing and parallelism legitimately vary between otherwise-
+    # identical runs; everything else must match exactly.
     del doc["wall_seconds"]
     del doc["jobs"]
-    del doc["verdict_cache_hits"]
     return doc
 
 
-def test_jobs_one_and_many_agree(no_cache):
-    serial = run_fuzz(seeds=SEEDS, jobs=1, shrink=False,
-                      metamorphic=False)
-    parallel = run_fuzz(seeds=SEEDS, jobs=3, shrink=False,
-                        metamorphic=False)
+def test_jobs_one_and_many_agree():
+    serial = run_fuzz(seeds=SEEDS, jobs=1, shrink=False)
+    parallel = run_fuzz(seeds=SEEDS, jobs=3, shrink=False)
     assert serial.seeds_run == parallel.seeds_run == SEEDS
+    assert serial.passed
     assert _comparable(serial) == _comparable(parallel)
 
 
-def test_jobs_agree_on_injected_failures(no_cache):
+def test_jobs_agree_on_injected_failures():
     serial = run_fuzz(seeds=4, jobs=1, shrink=False, inject="drop-push",
                       metamorphic=False)
     parallel = run_fuzz(seeds=4, jobs=2, shrink=False, inject="drop-push",
@@ -62,34 +38,20 @@ def test_jobs_agree_on_injected_failures(no_cache):
     assert serial.failures and _comparable(serial) == _comparable(parallel)
 
 
-def test_repro_jobs_env_is_honored(no_cache, monkeypatch):
+def test_repro_jobs_env_is_honored(monkeypatch):
     monkeypatch.setenv("REPRO_JOBS", "2")
     report = run_fuzz(seeds=2, shrink=False, metamorphic=False)
     assert report.jobs == 2
 
 
-def test_identical_reruns_hit_the_verdict_cache(tmp_cache):
-    cold = run_fuzz(seeds=SEEDS, jobs=1, shrink=False)
-    assert cold.verdict_cache_hits == 0 and cold.passed
-    warm = run_fuzz(seeds=SEEDS, jobs=1, shrink=False)
-    assert warm.verdict_cache_hits == SEEDS and warm.passed
-    assert _comparable(cold) == _comparable(warm)
-
-
-def test_verdict_cache_shared_across_jobs(tmp_cache):
-    run_fuzz(seeds=SEEDS, jobs=2, shrink=False)
-    warm = run_fuzz(seeds=SEEDS, jobs=2, shrink=False)
-    assert warm.verdict_cache_hits == SEEDS
-
-
-def test_time_budget_stops_early(no_cache):
+def test_time_budget_stops_early():
     report = run_fuzz(seeds=50, jobs=1, shrink=False, metamorphic=False,
                       time_budget=0.0)
     assert report.budget_exhausted
     assert report.seeds_run < 50
 
 
-def test_failures_can_persist_to_corpus(no_cache, tmp_path):
+def test_failures_can_persist_to_corpus(tmp_path):
     report = run_fuzz(
         seeds=1, jobs=1, shrink=False, inject="drop-push",
         metamorphic=False, save_corpus=True, corpus_dir=tmp_path,
@@ -99,7 +61,7 @@ def test_failures_can_persist_to_corpus(no_cache, tmp_path):
     assert list(tmp_path.glob("*.json"))
 
 
-def test_report_json_shape(no_cache):
+def test_report_json_shape():
     doc = run_fuzz(seeds=2, jobs=1, shrink=False,
                    metamorphic=False).to_json()
     assert doc["seeds_requested"] == 2
@@ -110,7 +72,7 @@ def test_report_json_shape(no_cache):
     json.dumps(doc)  # must be JSON-clean
 
 
-def test_summary_lines_mention_failures(no_cache):
+def test_summary_lines_mention_failures():
     report = run_fuzz(seeds=1, jobs=1, shrink=False, inject="drop-push",
                       metamorphic=False)
     text = "\n".join(report.summary_lines())
@@ -118,38 +80,36 @@ def test_summary_lines_mention_failures(no_cache):
 
 
 class TestCli:
-    def test_fuzz_clean_run_exits_zero(self, no_cache, capsys):
-        rc = main(["fuzz", "--seeds", "2", "--no-metamorphic",
-                   "--no-cache"])
+    def test_fuzz_clean_run_exits_zero(self, capsys):
+        rc = main(["fuzz", "--seeds", "2", "--no-metamorphic"])
         assert rc == 0
         assert "no failures" in capsys.readouterr().out
 
-    def test_fuzz_inject_expect_failures(self, no_cache, capsys):
+    def test_fuzz_inject_expect_failures(self, capsys):
         rc = main(["fuzz", "--seeds", "2", "--no-metamorphic",
                    "--no-shrink", "--inject", "drop-push",
-                   "--expect-failures", "--no-cache"])
+                   "--expect-failures"])
         assert rc == 0
         assert "caught the injected bug" in capsys.readouterr().out
 
-    def test_fuzz_inject_without_expect_exits_nonzero(self, no_cache):
+    def test_fuzz_inject_without_expect_exits_nonzero(self):
         rc = main(["fuzz", "--seeds", "2", "--no-metamorphic",
-                   "--no-shrink", "--inject", "drop-push", "--no-cache"])
+                   "--no-shrink", "--inject", "drop-push"])
         assert rc == 1
 
-    def test_fuzz_unknown_mutation_rejected(self, no_cache):
+    def test_fuzz_unknown_mutation_rejected(self):
         with pytest.raises(SystemExit):
-            main(["fuzz", "--seeds", "1", "--inject", "nope",
-                  "--no-cache"])
+            main(["fuzz", "--seeds", "1", "--inject", "nope"])
 
-    def test_fuzz_json_out(self, no_cache, tmp_path):
+    def test_fuzz_json_out(self, tmp_path):
         out = tmp_path / "fuzz.json"
         rc = main(["fuzz", "--seeds", "2", "--no-metamorphic",
-                   "--json-out", str(out), "--no-cache"])
+                   "--json-out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["seeds_run"] == 2
 
-    def test_fuzz_corpus_replay(self, no_cache, capsys):
-        rc = main(["fuzz", "--corpus", "--no-cache"])
+    def test_fuzz_corpus_replay(self, capsys):
+        rc = main(["fuzz", "--corpus"])
         assert rc == 0
         assert "entries hold" in capsys.readouterr().out

@@ -1,30 +1,16 @@
 """W-level verifier findings surface in fuzz reports instead of being
-dropped: per seed, per compiled variant, through the verdict cache,
-and into the ``repro fuzz`` summary."""
+dropped: per seed, per compiled variant, and into the ``repro fuzz``
+summary."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.core.compiler import WaspCompiler
-from repro.experiments.runner import GLOBAL_CACHE
-from repro.fexec.trace_store import TraceStore
-from repro.fuzz.oracle import OPTION_SETS, FuzzWarning, run_oracle
+from repro.fuzz.oracle import OPTION_SETS, run_oracle
 from repro.fuzz.runner import FuzzReport, run_fuzz
 from repro.fuzz.spec import generate_spec
-
-
-@pytest.fixture
-def tmp_cache(tmp_path):
-    saved = GLOBAL_CACHE.store
-    GLOBAL_CACHE.store = TraceStore(str(tmp_path / "cache"))
-    try:
-        yield GLOBAL_CACHE.store
-    finally:
-        GLOBAL_CACHE.store = saved
 
 
 class _WarningCompiler(WaspCompiler):
@@ -57,32 +43,15 @@ def warning_compiler(monkeypatch):
     )
 
 
-def test_fuzz_warning_json_round_trip():
-    warning = FuzzWarning(
-        seed=7, options_name="full", rule="WASP-Q006",
-        message="credit pressure", location="k/stage 0",
-    )
-    back = FuzzWarning.from_json(
-        json.loads(json.dumps(warning.to_json()))
-    )
-    assert back == warning
-    assert "WASP-Q006" in warning.summary()
-    assert "seed=7" in warning.summary()
-
-
 def test_healthy_seeds_carry_no_warnings():
-    report = run_oracle(
-        generate_spec(0), metamorphic=False, use_verdict_cache=False
-    )
+    report = run_oracle(generate_spec(0), metamorphic=False)
     assert report.passed
     assert report.warnings == []
 
 
 def test_oracle_surfaces_warnings_per_variant(warning_compiler):
     spec = generate_spec(1)
-    report = run_oracle(
-        spec, metamorphic=False, use_verdict_cache=False
-    )
+    report = run_oracle(spec, metamorphic=False)
     assert report.passed, "warnings must not fail the oracle"
     assert {w.options_name for w in report.warnings} == set(
         report.specialized_under
@@ -93,21 +62,8 @@ def test_oracle_surfaces_warnings_per_variant(warning_compiler):
         assert warning.location
 
 
-def test_warnings_survive_the_verdict_cache(warning_compiler, tmp_cache):
-    spec = generate_spec(2)
-    first = run_oracle(spec, metamorphic=False)
-    assert first.passed and not first.from_cache
-    assert first.warnings
-    second = run_oracle(spec, metamorphic=False)
-    assert second.from_cache
-    assert second.warnings == first.warnings
-
-
 def test_fuzz_report_aggregates_warnings(warning_compiler):
-    report = run_fuzz(
-        seeds=2, jobs=1, shrink=False, metamorphic=False,
-        use_verdict_cache=False,
-    )
+    report = run_fuzz(seeds=2, jobs=1, shrink=False, metamorphic=False)
     assert report.passed
     assert len(report.warnings) == 2 * len(OPTION_SETS)
     assert report.warning_counts == {
@@ -116,9 +72,11 @@ def test_fuzz_report_aggregates_warnings(warning_compiler):
     doc = report.to_json()
     assert doc["warning_counts"] == report.warning_counts
     assert len(doc["warnings"]) == len(report.warnings)
+    assert {w["rule"] for w in doc["warnings"]} == {"WASP-Q006"}
     text = "\n".join(report.summary_lines())
     assert "verifier warnings" in text
     assert "WASP-Q006" in text
+    assert "seed=1" in text
 
 
 def test_summary_lines_silent_without_warnings():

@@ -154,11 +154,10 @@ _FLAGS = {
         "--no-simulate", "--scale", "-h",
     ],
     "fuzz": [
-        "--cache-dir", "--clear-cache", "--corpus", "--corpus-dir",
-        "--expect-failures", "--help", "--inject", "--jobs", "--json-out",
-        "--metrics-out", "--metrics-prom", "--no-cache", "--no-metamorphic",
-        "--no-shrink", "--save-corpus", "--seed-base", "--seeds",
-        "--time-budget", "-h",
+        "--corpus", "--corpus-dir", "--expect-failures", "--help",
+        "--inject", "--jobs", "--json-out", "--metrics-out",
+        "--metrics-prom", "--no-metamorphic", "--no-shrink",
+        "--save-corpus", "--seed-base", "--seeds", "--time-budget", "-h",
     ],
     "corediff": _DIFF_FLAGS,
     "racediff": _DIFF_FLAGS,
@@ -251,7 +250,7 @@ def test_empty_corpus_exits_one(gate, tmp_path, capsys):
     ("racediff", ["--seeds", "1", "--no-cache"]),
     ("validate", ["pointnet", "--depths", "2,4"]),
     ("lint", ["pointnet"]),
-    ("fuzz", ["--corpus", "--no-cache"]),
+    ("fuzz", ["--corpus"]),
 ])
 def test_json_out_matches_the_text_summary(gate, extra, tmp_path, capsys):
     argv, pattern = _GATES[gate]

@@ -123,17 +123,15 @@ def test_parallel_cache_stats_aggregate_from_workers(isolated_cache):
 
     unique = set()
     for name in FAST:
-        from repro.experiments.runner import _options_key
         from repro.experiments.parallel import _compiler_options_for
         from repro.workloads import get_benchmark
 
         for kernel in get_benchmark(name, SCALE).kernels:
-            digest = kernel.content_digest()
-            unique.add((digest, None))
+            unique.add(isolated_cache.key_for(kernel, None))
             for config in configs:
                 options = _compiler_options_for(kernel, config)
                 if options is not None:
-                    unique.add((digest, _options_key(options)))
+                    unique.add(isolated_cache.key_for(kernel, options))
     assert stats.generations == len(unique)
     assert stats.lookups > stats.generations  # sim phase hits the cache
 

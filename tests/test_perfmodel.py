@@ -20,7 +20,7 @@ from repro.analysis.perfmodel.dataflow import DataflowWalk
 from repro.core.compiler import WaspCompiler, WaspCompilerOptions
 from repro.core.compiler.pipeline import CompileResult, options_delta
 from repro.experiments.configs import baseline_config, wasp_gpu_config
-from repro.experiments.parallel import KernelTask, SweepReport, run_sweep
+from repro.experiments.parallel import KernelTask, run_sweep
 from repro.experiments.runner import (
     TraceCache,
     _compiler_options_for,
@@ -183,15 +183,6 @@ def test_sweep_rows_carry_prediction_error():
 def test_sweep_without_predict_has_no_prediction_rows():
     sweep = run_sweep(["hpcg"], SCALE, [wasp_gpu_config()], jobs=1)
     assert sweep.report.prediction_rows == []
-
-
-def test_sweep_report_merge_keeps_prediction_rows():
-    a = run_sweep(
-        ["hpcg"], SCALE, [wasp_gpu_config()], jobs=1, predict=True
-    ).report
-    b = SweepReport()
-    b.merge(a)
-    assert len(b.prediction_rows) == len(a.prediction_rows)
 
 
 def test_kernel_task_defaults_to_no_prediction():

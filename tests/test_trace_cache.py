@@ -14,10 +14,13 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.compiler import WaspCompilerOptions
 from repro.experiments.configs import baseline_config, wasp_gpu_config
 from repro.experiments.runner import TraceCache, run_kernel
 from repro.fexec import LaunchConfig, MemoryImage
 from repro.fexec.trace_store import TraceStore, cache_enabled
+from repro.fuzz.generator import build_kernel
+from repro.fuzz.spec import generate_spec
 from repro.isa import ProgramBuilder, SpecialReg
 from repro.sim.config import baseline_a100
 from repro.sim.gpu import simulate_kernel
@@ -97,6 +100,21 @@ def test_options_distinguish_cache_entries():
     kernel = _tiny_kernel()
     options = wasp_gpu_config().compiler
     assert cache.key_for(kernel, None) != cache.key_for(kernel, options)
+
+
+@pytest.mark.parametrize("field", sorted(WaspCompilerOptions().to_json()))
+def test_every_compiler_option_enters_the_key(field):
+    """Changing any one option — ones added later included — changes
+    the key, so no entry is ever served for a different program."""
+    cache = TraceCache()
+    kernel = _tiny_kernel()
+    base = WaspCompilerOptions().to_json()
+    value = base[field]
+    changed = not value if isinstance(value, bool) else value + 1
+    options = WaspCompilerOptions.from_json({**base, field: changed})
+    assert cache.key_for(kernel, options) != cache.key_for(
+        kernel, WaspCompilerOptions()
+    )
 
 
 # -- disk round-trip ---------------------------------------------------------
@@ -189,6 +207,30 @@ def test_version_mismatch_falls_back_to_regeneration(store):
     fresh.original(kernel)
     assert fresh.stats.disk_hits == 0
     assert fresh.stats.generations == 1
+
+
+def test_program_digest_mismatch_is_a_miss(store):
+    """A specialized entry whose recorded program differs from what the
+    compiler now emits is regenerated, not replayed."""
+    kernel = build_kernel(generate_spec(0))
+    options = WaspCompilerOptions()
+    assert TraceCache(store=store).specialized(kernel, options) is not None
+
+    path = _single_entry_path(store)
+    with gzip.open(path, "rt", encoding="utf-8") as fh:
+        envelope = json.load(fh)
+    envelope["payload"]["program"] = "0" * 64
+    with gzip.open(path, "wt", encoding="utf-8") as fh:
+        json.dump(envelope, fh)
+
+    fresh = TraceCache(store=store)
+    assert fresh.specialized(kernel, options) is not None
+    assert fresh.stats.disk_hits == 0
+    assert fresh.stats.generations == 1
+    # The regenerated entry replaced the stale one.
+    again = TraceCache(store=store)
+    again.specialized(kernel, options)
+    assert (again.stats.disk_hits, again.stats.generations) == (1, 0)
 
 
 def test_key_mismatch_is_a_miss(store):
