@@ -139,8 +139,9 @@ RULES: dict[str, tuple[Severity, str]] = {
                   "(or queue pushes and pops do not pair up)"),
     "WASP-T003": (Severity.ERROR,
                   "ring-slot aliasing or missing ordering breaks the "
-                  "simulation relation: the happens-before engine cannot "
-                  "order accesses the equivalence proof relies on"),
+                  "simulation relation: the static verifier reports an "
+                  "error-severity queue, deadlock or SMEM finding on the "
+                  "specialized program"),
     "WASP-T004": (Severity.WARNING,
                   "translation validator abstained: the program is "
                   "outside the validator's fragment, so equivalence is "

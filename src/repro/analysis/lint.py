@@ -40,27 +40,15 @@ def lint_kernel(
     program: Program,
     num_warps: int,
     options: WaspCompilerOptions | None = None,
-    validate: bool = False,
 ) -> tuple[CompileResult, DiagnosticReport]:
     """Compile one kernel program (verifier-as-exception off) and verify.
 
     Returns ``(compile_result, DiagnosticReport)``; callers that want
     raising behaviour should compile with ``verify=True`` instead.
-    With ``validate=True`` the translation validator runs too and its
-    WASP-T findings are merged into the report.
     """
     options = _unchecked(options or WaspCompilerOptions())
     result = WaspCompiler(options).compile(program, num_warps)
-    report = verify_program(result.program)
-    if validate:
-        from repro.analysis.transval import validate_programs
-
-        tv = validate_programs(
-            program, result.program, assume_verified=True
-        )
-        report.extend(list(tv.report))
-        report = report.normalized()
-    return result, report
+    return result, verify_program(result.program)
 
 
 class LintCheck:
@@ -68,14 +56,9 @@ class LintCheck:
 
     name = "lint"
 
-    def __init__(self, validate: bool = False) -> None:
-        self.validate = validate
-
     def run(self, subject: Subject) -> list[Verdict]:
         kernel = subject.kernel
-        result, report = lint_kernel(
-            kernel.program, kernel.launch.num_warps, validate=self.validate,
-        )
+        result, report = lint_kernel(kernel.program, kernel.launch.num_warps)
         return [Verdict(
             subject.label, ok=not report.errors, report=report,
             fields={

@@ -5,11 +5,11 @@ kernel and the :class:`WaspCompiler` output it walks both sides into
 symbolic effect summaries (:mod:`repro.analysis.transval.effects`),
 checks the cutpoint simulation relation over ring-slot residues
 (:mod:`repro.analysis.transval.match`), and folds in the ordering
-obligations the value proof relies on — the PR 8 happens-before engine
-must be able to order every cross-stage SMEM access the threading step
-read through, and the static verifier must not have found protocol
-errors (a racy or deadlocking program has no meaningful simulation
-relation to certify).
+obligations the value proof relies on.  Those come from the static
+verifier's report on the specialized program, not from a second
+analysis: a racy or deadlocking program has no meaningful simulation
+relation to certify, and the verifier's happens-before pass already
+reports every racy SMEM pair as an error.
 
 Verdicts are three-valued, and abstention is *never* silently folded
 into a pass:
@@ -28,11 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.analysis.diagnostics import (
-    Diagnostic,
-    DiagnosticReport,
-    Severity,
-)
+from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
 from repro.analysis.transval.effects import Summary, summarize_program
 from repro.analysis.transval.match import match_summaries
 from repro.errors import VerificationError
@@ -105,16 +101,14 @@ class ValidationReport:
 def validate_programs(
     source: Program,
     specialized: Program,
-    *,
-    assume_verified: bool = False,
+    verified: DiagnosticReport | None = None,
 ) -> ValidationReport:
     """Check the simulation relation between ``source`` and its compile.
 
-    ``assume_verified=True`` skips re-running the static verifier over
-    the specialized program (the compiler post-pass sets it, because
-    ``verify_or_raise`` already ran in the same compile); the
-    happens-before ordering check always runs — the value proof leans
-    on its FIFO/barrier edges directly.
+    ``verified`` is the static verifier's report on ``specialized``
+    (the compiler post-pass passes the one ``verify_or_raise`` just
+    returned); without it the verifier runs here, once.  The value
+    proof reads only that report's error-severity ordering findings.
     """
     with span("transval", "validate"):
         report = DiagnosticReport()
@@ -124,9 +118,11 @@ def validate_programs(
         matched = n_src = n_spec = 0
 
         if specialized_output:
-            report.extend(_ordering_diagnostics(
-                specialized, assume_verified=assume_verified
-            ))
+            if verified is None:
+                from repro.analysis.verifier import verify_program
+
+                verified = verify_program(specialized)
+            report.extend(_ordering_diagnostics(specialized, verified))
             src_sum = summarize_program(source, side="source")
             spec_sum = summarize_program(specialized, side="specialized")
             res = match_summaries(src_sum, spec_sum)
@@ -157,8 +153,7 @@ def validate_programs(
 def validate_or_raise(
     source: Program,
     specialized: Program,
-    *,
-    assume_verified: bool = False,
+    verified: DiagnosticReport | None = None,
 ) -> ValidationReport:
     """The compiler's opt-out post-pass: raise on ``not-equivalent``.
 
@@ -166,9 +161,7 @@ def validate_or_raise(
     counterexample — but it is preserved on the report so callers (CI,
     the fuzz cross-check) can gate on it explicitly.
     """
-    result = validate_programs(
-        source, specialized, assume_verified=assume_verified
-    )
+    result = validate_programs(source, specialized, verified)
     if result.verdict == NOT_EQUIVALENT:
         errs = result.t_errors
         raise VerificationError(
@@ -186,57 +179,33 @@ def _is_specialized(program: Program) -> bool:
 
 
 def _ordering_diagnostics(
-    specialized: Program, *, assume_verified: bool
+    specialized: Program, verified: DiagnosticReport
 ) -> list[Diagnostic]:
     """T003: the ordering facts the value proof depends on must hold.
 
     The queue threading step assumed FIFO pairing and the SMEM
-    threading step assumed writer-before-reader per ring slot; both
-    are exactly what the happens-before engine proves.  Any RACY pair
-    — and, unless the caller already verified, any error-severity
-    queue/deadlock/SMEM finding — voids the simulation relation.
+    threading step assumed writer-before-reader per ring slot.  The
+    proof reads no happens-before edges itself, only whether the
+    verifier found the protocol broken: every error-severity
+    queue/deadlock/SMEM finding (racy pairs are S001/S004/S005) voids
+    the simulation relation.
     """
-    from repro.analysis.dataflow.hb import analyze_program
-
-    diags: list[Diagnostic] = []
-    hb = analyze_program(specialized)
-    for verdict in hb.racy():
-        base = verdict.rule or "WASP-S001"
-        diags.append(Diagnostic(
+    return [
+        Diagnostic(
             rule="WASP-T003",
             message=(
-                f"accesses to {verdict.group!r} are unordered "
-                f"({base}: stage {verdict.writer.stage} "
-                f"{verdict.writer.instr_repr} vs stage "
-                f"{verdict.other.stage} {verdict.other.instr_repr}); "
-                "the equivalence proof relies on this ordering"
+                f"static verifier found {diag.rule} on the specialized "
+                f"program: {diag.message}"
             ),
             kernel=specialized.name,
-            stage=verdict.writer.stage,
-            block=verdict.writer.block,
-            instruction=verdict.writer.instr_repr,
-            hint="fix the barrier/credit protocol first — value "
-                 "equivalence cannot hold across a data race",
-        ))
-    if not assume_verified:
-        from repro.analysis.verifier import verify_program
-
-        for diag in verify_program(specialized):
-            family = diag.rule.split("-")[1][0]
-            if diag.severity is Severity.ERROR and family in "QDS":
-                diags.append(Diagnostic(
-                    rule="WASP-T003",
-                    message=(
-                        f"static verifier found {diag.rule} on the "
-                        f"specialized program: {diag.message}"
-                    ),
-                    kernel=specialized.name,
-                    stage=diag.stage,
-                    block=diag.block,
-                    instruction=diag.instruction,
-                    hint=diag.hint,
-                ))
-    return diags
+            stage=diag.stage,
+            block=diag.block,
+            instruction=diag.instruction,
+            hint=diag.hint,
+        )
+        for diag in verified.errors
+        if diag.rule.split("-")[1][0] in "QDS"
+    ]
 
 
 def _verdict(report: DiagnosticReport) -> str:

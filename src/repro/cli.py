@@ -276,11 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit non-zero on warnings too, not only on errors",
     )
     lint.add_argument(
-        "--validate", action="store_true",
-        help="also run the translation validator on each compile and "
-             "merge its WASP-T findings into the report",
-    )
-    lint.add_argument(
         "--list-rules", action="store_true",
         help="print the WASP-C/Q/D/S/R/T rule catalogue (id, severity, "
              "description) and exit without linting anything",
@@ -600,8 +595,7 @@ def _run_lint(args: argparse.Namespace) -> int:
         corpus_subjects(args.corpus_dir) if args.corpus
         else registry_subjects(_selected(args), args.scale)
     )
-    return _gate(args, LintCheck(validate=args.validate), subjects,
-                 strict=args.strict)
+    return _gate(args, LintCheck(), subjects, strict=args.strict)
 
 
 def _run_validate(args: argparse.Namespace) -> int:
@@ -670,11 +664,17 @@ def _run_fuzz(args: argparse.Namespace) -> int:
         _dump_json(args.json_out, report.to_json(), "fuzz JSON")
     failed = bool(report.failures) or report.seeds_run == 0
     if args.expect_failures:
-        if failed:
+        if not report.seeds_run:
+            print("[expected failures but no seed ran]")
+        elif args.inject is not None and not report.injected:
+            print(f"[expected failures but no site for {args.inject} in "
+                  f"{report.seeds_run} seed(s) — nothing was injected]")
+        elif not report.failures:
+            print("[expected failures but every seed passed — the oracle "
+                  "missed the injected bug]")
+        else:
             print("[expected failures: oracle caught the injected bug]")
             return 0
-        print("[expected failures but every seed passed — the oracle "
-              "missed the injected bug]")
         return 1
     return 1 if failed else 0
 

@@ -243,20 +243,18 @@ class WaspCompiler:
                 smem_buffers=work.smem_buffers,
             )
         renumber_keys(combined)
-        diagnostics: list = []
+        verified = None
         if opts.verify:
             # Imported lazily: the analysis package partitions the
             # *output* of this compiler and is otherwise independent.
             from repro.analysis.verifier import verify_or_raise
 
-            diagnostics = list(verify_or_raise(combined))
+            verified = verify_or_raise(combined)
         transval = None
         if opts.validate:
             from repro.analysis.transval import validate_or_raise
 
-            transval = validate_or_raise(
-                program, combined, assume_verified=opts.verify
-            )
+            transval = validate_or_raise(program, combined, verified)
         return self._emit(CompileResult(
             original=program,
             program=combined,
@@ -269,7 +267,7 @@ class WaspCompiler:
             double_buffered=double_buffered,
             offload=offload,
             dropped_stages=dropped,
-            diagnostics=diagnostics,
+            diagnostics=list(verified or []),
             transval=transval,
         ))
 

@@ -33,11 +33,11 @@ compiler, so a pass always means the code under test passed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
-from repro.analysis.diagnostics import Severity
+from repro.analysis.diagnostics import DiagnosticReport, Severity
 from repro.core.compiler import WaspCompiler, WaspCompilerOptions
 from repro.errors import CompilerError, ReproError, VerificationError
 from repro.fexec.machine import run_kernel
@@ -46,6 +46,7 @@ from repro.fuzz.generator import build_kernel
 from repro.fuzz.spec import FuzzSpec
 from repro.gates import widened_launch
 from repro.isa.opcodes import Opcode
+from repro.isa.program import Program
 from repro.workloads.base import Kernel
 
 #: Deterministic compiler option tuples every spec is compiled under.
@@ -158,6 +159,8 @@ class OracleReport:
     #: Translation-validation verdict per compiled variant name
     #: (``equivalent`` / ``not-equivalent`` / ``abstain``).
     transval_verdicts: dict[str, str] = field(default_factory=dict)
+    #: Compiled variants ``inject`` found a site to corrupt in.
+    injected: int = 0
 
     @property
     def passed(self) -> bool:
@@ -194,17 +197,6 @@ def _queue_balance(traces: list[KernelTrace]) -> dict[int, tuple[int, int]]:
                     entry = balance.setdefault(di.queue_pop, [0, 0])
                     entry[1] += 1
     return {qid: (p, c) for qid, (p, c) in balance.items()}
-
-
-def _verifier_rules(program) -> list[str]:
-    """Rule ids the static verifier reports for ``program``."""
-    from repro.analysis import verify_program
-
-    try:
-        report = verify_program(program)
-    except ReproError as exc:
-        return [f"verifier-crash:{type(exc).__name__}"]
-    return sorted({d.rule for d in report.diagnostics})
 
 
 def run_oracle(
@@ -250,33 +242,32 @@ def _check_one_variant(
     inject: str | None,
 ) -> None:
     spec = report.spec
+    # Rule ids the static verifier reported for the variant under
+    # check; every failure of the variant carries them.
+    rules: list[str] = []
 
-    def fail(check: str, message: str, program=None) -> None:
+    def fail(check: str, message: str) -> None:
         report.failures.append(FuzzFailure(
             seed=spec.seed,
             spec=spec,
             check=check,
             message=message,
             options_name=name,
-            verifier_rules=(
-                _verifier_rules(program) if program is not None else []
-            ),
+            verifier_rules=list(rules),
         ))
 
     try:
         # Translation validation is disabled *inside* the compile and
         # run explicitly below: the oracle needs the raw verdict (on
         # the possibly-mutated program) for the static/dynamic
-        # cross-check, not an exception mid-compile.
-        result = WaspCompiler(replace(options, validate=False)).compile(
-            kernel.program, num_warps=kernel.launch.num_warps
-        )
+        # cross-check, not an exception mid-compile.  The verifier
+        # stays on: its report is the validator's ordering evidence.
+        result = WaspCompiler(
+            replace(options, verify=True, validate=False)
+        ).compile(kernel.program, num_warps=kernel.launch.num_warps)
     except VerificationError as exc:
-        report.failures.append(FuzzFailure(
-            seed=spec.seed, spec=spec, check="static-verifier",
-            message=str(exc)[:300], options_name=name,
-            verifier_rules=sorted({d.rule for d in exc.diagnostics}),
-        ))
+        rules = sorted({d.rule for d in exc.diagnostics})
+        fail("static-verifier", str(exc)[:300])
         return
     except CompilerError as exc:
         fail("compiler-crash", f"{type(exc).__name__}: {exc}")
@@ -295,17 +286,19 @@ def _check_one_variant(
             ))
 
     program = result.program
+    verified: DiagnosticReport | None = DiagnosticReport(result.diagnostics)
+    rules = sorted(verified.rules_fired())
     if inject is not None:
         from repro.fuzz.mutate import apply_mutation
 
         mutated = apply_mutation(program, inject)
         if mutated is None:
             return  # no applicable site in this variant
+        report.injected += 1
         program = mutated
+        verified, rules = _verify(program)
 
-    verdict = _transval_verdict(
-        kernel, program, fail, assume_verified=inject is None
-    )
+    verdict = _transval_verdict(kernel, program, verified, fail)
     report.transval_verdicts[name] = verdict
 
     before = len(report.failures)
@@ -325,37 +318,47 @@ def _check_one_variant(
             "transval-false-equivalent",
             "translation validator certified a program the functional "
             f"oracle rejected ({report.failures[before].check})",
-            program=program,
         )
     elif verdict == "not-equivalent" and inject is None and not dynamic_failed:
         fail(
             "transval-disagreement",
             "translation validator rejected a clean compile the "
             "functional oracle accepted",
-            program=program,
         )
 
 
+def _verify(program: Program) -> tuple[DiagnosticReport | None, list[str]]:
+    """The static verifier's report on a mutated variant, and the rule
+    ids it fired; a verifier crash gives no report and a
+    ``verifier-crash:<Type>`` rule."""
+    from repro.analysis import verify_program
+
+    try:
+        verified = verify_program(program)
+    except ReproError as exc:
+        return None, [f"verifier-crash:{type(exc).__name__}"]
+    return verified, sorted(verified.rules_fired())
+
+
 def _transval_verdict(
-    kernel: Kernel, program, fail, *, assume_verified: bool
+    kernel: Kernel,
+    program: Program,
+    verified: DiagnosticReport | None,
+    fail: Callable[[str, str], None],
 ) -> str:
     """Static verdict for one compiled (possibly mutated) variant.
 
     A validator crash is itself an oracle failure — the certificate
     machinery must hold up on everything the generator produces.
+    Without a verifier report (the verifier crashed) the validator
+    verifies for itself, and crashes the same way.
     """
     from repro.analysis.transval import validate_programs
 
     try:
-        return validate_programs(
-            kernel.program, program, assume_verified=assume_verified
-        ).verdict
+        return validate_programs(kernel.program, program, verified).verdict
     except ReproError as exc:
-        fail(
-            "transval-crash",
-            f"{type(exc).__name__}: {str(exc)[:300]}",
-            program=program,
-        )
+        fail("transval-crash", f"{type(exc).__name__}: {str(exc)[:300]}")
         return "crash"
 
 
@@ -383,7 +386,6 @@ def _run_dynamic_checks(
             "deadlock" if "deadlock" in type(exc).__name__.lower()
             else "runtime-crash",
             f"{type(exc).__name__}: {str(exc)[:300]}",
-            program=program,
         )
         return
 
@@ -392,7 +394,6 @@ def _run_dynamic_checks(
             "sanitizer-race",
             f"{len(spec_result.races)} unordered SMEM access pair(s); "
             f"first: {spec_result.races[0].format()}",
-            program=program,
         )
         return
 
@@ -404,7 +405,6 @@ def _run_dynamic_checks(
             "memory-divergence",
             f"{diff.size} words differ; first at {first} "
             f"(got {got[first]!r}, want {exp[first]!r})",
-            program=program,
         )
         return
 
@@ -413,12 +413,10 @@ def _run_dynamic_checks(
         fail(
             "instr-accounting",
             f"dynamic STG count changed: {ref_stores} -> {spec_stores}",
-            program=program,
         )
     for qid, (pushes, pops) in _queue_balance(spec_result.traces).items():
         if pushes != pops:
             fail(
                 "queue-balance",
                 f"queue {qid}: {pushes} pushes vs {pops} pops",
-                program=program,
             )

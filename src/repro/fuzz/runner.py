@@ -49,6 +49,8 @@ class FuzzReport:
 
     seeds_requested: int = 0
     seeds_run: int = 0
+    #: Compiled variants an ``inject`` mutation found a site in.
+    injected: int = 0
     jobs: int = 1
     wall_seconds: float = 0.0
     budget_exhausted: bool = False
@@ -77,6 +79,7 @@ class FuzzReport:
         return {
             "seeds_requested": self.seeds_requested,
             "seeds_run": self.seeds_run,
+            "injected": self.injected,
             "jobs": self.jobs,
             "wall_seconds": round(self.wall_seconds, 3),
             "budget_exhausted": self.budget_exhausted,
@@ -213,6 +216,7 @@ def run_fuzz(
     for seed in sorted(results):
         oracle = results[seed]
         report.seeds_run += 1
+        report.injected += oracle.injected
         skeleton = oracle.spec.skeleton
         report.skeleton_counts[skeleton] = (
             report.skeleton_counts.get(skeleton, 0) + 1

@@ -92,6 +92,25 @@ class TestCli:
         assert rc == 0
         assert "caught the injected bug" in capsys.readouterr().out
 
+    def test_fuzz_expect_failures_needs_a_seed_to_run(self, capsys):
+        rc = main(["fuzz", "--seeds", "0", "--inject", "drop-push",
+                   "--expect-failures"])
+        assert rc == 1
+        assert "no seed ran" in capsys.readouterr().out
+
+    def test_fuzz_expect_failures_names_a_mutation_without_sites(
+        self, tmp_path, capsys
+    ):
+        # Seeds 0-3 have no barrier arrive for drop-arrive to remove.
+        out = tmp_path / "fuzz.json"
+        rc = main(["fuzz", "--seeds", "4", "--no-metamorphic",
+                   "--no-shrink", "--inject", "drop-arrive",
+                   "--expect-failures", "--json-out", str(out)])
+        assert rc == 1
+        assert "no site for drop-arrive" in capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        assert doc["seeds_run"] == 4 and doc["injected"] == 0
+
     def test_fuzz_inject_without_expect_exits_nonzero(self):
         rc = main(["fuzz", "--seeds", "2", "--no-metamorphic",
                    "--no-shrink", "--inject", "drop-push"])

@@ -141,8 +141,8 @@ _FLAGS = {
     ],
     "lint": [
         "--all", "--corpus", "--corpus-dir", "--help", "--json-out",
-        "--list-rules", "--sarif", "--scale", "--strict", "--validate",
-        "--verbose", "-h",
+        "--list-rules", "--sarif", "--scale", "--strict", "--verbose",
+        "-h",
     ],
     "validate": [
         "--all", "--corpus", "--corpus-dir", "--depths", "--help",

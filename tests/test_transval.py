@@ -39,6 +39,7 @@ from repro.core.compiler import WaspCompiler, WaspCompilerOptions
 from repro.errors import VerificationError
 from repro.fuzz.generator import build_kernel
 from repro.fuzz.mutate import apply_mutation
+from repro.fuzz.oracle import OPTION_SETS
 from repro.fuzz.spec import generate_spec
 from repro.workloads.registry import get_benchmark
 
@@ -229,6 +230,95 @@ def test_unspecialized_compile_is_identity():
 
 
 # ---------------------------------------------------------------------------
+# One ordering proof per compile: transval reads the verifier's report
+
+
+@pytest.fixture
+def hb_solves(monkeypatch):
+    """Count happens-before solves through both ``analyze_hb`` bindings
+    (the verifier's SMEM pass and the HB module's own)."""
+    import repro.analysis.dataflow.hb as hb_module
+    import repro.analysis.smem as smem_module
+
+    calls = []
+    for module in (hb_module, smem_module):
+        original = module.analyze_hb
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "analyze_hb", counted)
+    return calls
+
+
+def test_default_compile_solves_happens_before_once(hb_solves):
+    kernel = get_benchmark("pointnet", 0.25).kernels[0]
+    result = WaspCompiler().compile(kernel.program, kernel.launch.num_warps)
+    assert result.specialized
+    assert result.transval.verdict == EQUIVALENT
+    assert len(hb_solves) == 1
+
+
+def test_validate_check_solves_happens_before_once_per_subject(hb_solves):
+    from repro.analysis.lint import ValidateCheck, standard_option_sets
+    from repro.gates import registry_subjects
+
+    subjects = list(registry_subjects(
+        ["pointnet"], 0.25, option_sets=standard_option_sets()[:2],
+    ))
+    for subject in subjects:
+        before = len(hb_solves)
+        (verdict,) = ValidateCheck().run(subject)
+        assert verdict.ok and verdict.fields["specialized"]
+        assert len(hb_solves) - before == 1, subject.label
+
+
+@pytest.mark.parametrize(
+    "opts_name,options", OPTION_SETS, ids=[n for n, _ in OPTION_SETS]
+)
+def test_passed_report_matches_self_verification(opts_name, options):
+    """Seed 5 (deep skeleton), every mutation with a site: the verdict
+    is the same whether transval verifies itself or is handed the
+    verifier's report, and its T003 findings are exactly the report's
+    queue/deadlock/SMEM errors."""
+    from collections import Counter
+    from dataclasses import replace
+
+    from repro.analysis.verifier import verify_program
+    from repro.fuzz.mutate import MUTATIONS
+
+    spec = generate_spec(5)
+    assert spec.skeleton == "deep"
+    kernel = build_kernel(spec)
+    result = WaspCompiler(replace(options, validate=False)).compile(
+        kernel.program, kernel.launch.num_warps
+    )
+    assert result.specialized
+    checked = 0
+    for mutation in MUTATIONS:
+        mutated = apply_mutation(result.program, mutation)
+        if mutated is None:
+            continue
+        checked += 1
+        verified = verify_program(mutated)
+        own = validate_programs(kernel.program, mutated)
+        given = validate_programs(kernel.program, mutated, verified)
+        assert own.verdict == given.verdict, mutation
+        ordering = Counter(
+            (d.stage, d.block, d.instruction) for d in verified.errors
+            if d.rule[len("WASP-")] in "QDS"
+        )
+        for tv in (own, given):
+            t003 = Counter(
+                (d.stage, d.block, d.instruction) for d in tv.report
+                if d.rule == "WASP-T003"
+            )
+            assert t003 == ordering, mutation
+    assert checked
+
+
+# ---------------------------------------------------------------------------
 # Verdict taxonomy and telemetry
 
 
@@ -302,12 +392,3 @@ def test_cli_validate_standard_option_sets(capsys):
     rc = main(["validate", "pointnet", "--options", "standard"])
     capsys.readouterr()
     assert rc == 0
-
-
-def test_cli_lint_validate_flag(capsys):
-    from repro.cli import main
-
-    rc = main(["lint", "pointnet", "--validate", "--verbose"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "clean" in out
