@@ -125,7 +125,7 @@ class KernelSimBenchmark(BaseBenchmark):
         )
         for kernel in bench.kernels:
             gpu = _gpu_for(kernel, config)
-            traces = _GLOBAL_CACHE.original(kernel).traces
+            traces = _GLOBAL_CACHE.original(kernel)
             self._work.append((traces, gpu))
 
     def run(self) -> dict[str, Any]:
@@ -167,19 +167,19 @@ class Fig14SweepBenchmark(BaseBenchmark):
             for kernel in bench.kernels:
                 for config in standard_configs():
                     gpu = _gpu_for(kernel, config)
-                    entry = _GLOBAL_CACHE.original(kernel)
-                    self._work.append((entry.traces, gpu))
+                    traces = _GLOBAL_CACHE.original(kernel)
+                    self._work.append((traces, gpu))
                     options = _compiler_options_for(kernel, config)
                     if options is None:
                         continue
                     try:
-                        spec_entry = _GLOBAL_CACHE.specialized(
+                        spec_traces = _GLOBAL_CACHE.specialized(
                             kernel, options
                         )
                     except (CompilerError, ResourceError):
                         continue
-                    if spec_entry is not None:
-                        self._work.append((spec_entry.traces, gpu))
+                    if spec_traces is not None:
+                        self._work.append((spec_traces, gpu))
 
     def run(self) -> dict[str, Any]:
         from repro.errors import ReproError

@@ -9,6 +9,9 @@ phases; WASP's warp-specialized pipeline overlaps them.
 Run:  python examples/pointnet_gather.py
 """
 
+from dataclasses import replace
+
+from repro.core.compiler import WaspCompiler
 from repro.experiments import fig3
 from repro.experiments.configs import baseline_config, wasp_gpu_config
 from repro.experiments.runner import run_kernel
@@ -29,17 +32,20 @@ def main() -> None:
     # Show what the harness actually ran underneath.
     benchmark = get_benchmark("pointnet", 0.5)
     kernel = benchmark.kernels[0]
+    wasp = wasp_gpu_config()
     base_res = run_kernel(kernel, baseline_config())
-    wasp_res = run_kernel(kernel, wasp_gpu_config())
+    wasp_res = run_kernel(kernel, wasp)
+    compiled = WaspCompiler(
+        replace(wasp.compiler, queue_size=wasp.gpu.rfq_size)
+    ).compile(kernel.program, num_warps=kernel.launch.num_warps)
     print(
         f"\n{kernel.name}: {base_res.cycles:,.0f} -> "
         f"{wasp_res.cycles:,.0f} cycles "
         f"({base_res.cycles / wasp_res.cycles:.2f}x), "
-        f"pipeline stages = "
-        f"{wasp_res.compile_result.num_stages if wasp_res.compile_result else 1}"
+        f"pipeline stages = {compiled.num_stages}"
     )
-    if wasp_res.compile_result and wasp_res.compile_result.offload:
-        offload = wasp_res.compile_result.offload
+    if compiled.offload:
+        offload = compiled.offload
         print(
             f"WASP-TMA offload: {offload.streams} stream jobs, "
             f"{offload.gathers} fused gather jobs"

@@ -9,6 +9,9 @@ role of decoupling the serialized column->B-row load chain.
 Run:  python examples/sparse_spmv.py
 """
 
+from dataclasses import replace
+
+from repro.core.compiler import WaspCompiler
 from repro.experiments.configs import standard_configs
 from repro.experiments.runner import run_benchmark
 from repro.workloads import get_benchmark
@@ -33,9 +36,13 @@ def main() -> None:
     benchmark = get_benchmark("spmm2_web", scale=0.5)
     wasp = run_benchmark(benchmark, configs[-1])
     base = run_benchmark(benchmark, configs[0])
+    compiler = WaspCompiler(
+        replace(configs[-1].compiler, queue_size=configs[-1].gpu.rfq_size)
+    )
     for base_k, wasp_k in zip(base.kernels, wasp.kernels):
-        compiled = wasp_k.compile_result
-        stages = compiled.num_stages if compiled else 1
+        stages = compiler.compile(
+            wasp_k.kernel.program, num_warps=wasp_k.kernel.launch.num_warps
+        ).num_stages
         print(
             f"  {wasp_k.kernel.name}: {base_k.cycles:,.0f} -> "
             f"{wasp_k.cycles:,.0f} cycles "

@@ -253,9 +253,8 @@ def advise_kernel(
         kernel, config
     ) or WaspCompilerOptions()
 
-    original = store.original(kernel)
     baseline = predict_traces(
-        original.traces, gpu, kernel_name=kernel.name
+        store.original(kernel), gpu, kernel_name=kernel.name
     )
 
     candidates = enumerate_candidates(default_options, gpu)
@@ -263,19 +262,19 @@ def advise_kernel(
     for candidate in candidates:
         cand_gpu = replace(gpu, rfq_size=candidate.rfq_size)
         try:
-            entry = store.specialized(kernel, candidate.options)
+            traces = store.specialized(kernel, candidate.options)
         except CompilerError as exc:
             candidate.error = f"compile failed: {exc}"
             candidate.prediction = baseline
             continue
-        if entry is None:
+        if traces is None:
             # Does not specialize under these options: the kernel runs
             # unchanged, so the candidate predicts the baseline.
             candidate.prediction = baseline
             continue
         try:
             pipelined = predict_traces(
-                entry.traces, cand_gpu, kernel_name=kernel.name
+                traces, cand_gpu, kernel_name=kernel.name
             )
         except (ResourceError, ValueError) as exc:
             candidate.error = f"model failed: {exc}"

@@ -134,10 +134,9 @@ def calibrate_kernel(
     gpu = _gpu_for(kernel, config)
     if result.used_specialized:
         options = _compiler_options_for(kernel, config)
-        entry = store.specialized(kernel, options)
-        traces = entry.traces if entry is not None else []
+        traces = store.specialized(kernel, options) or []
     else:
-        traces = store.original(kernel).traces
+        traces = store.original(kernel)
     prediction = predict_traces(traces, gpu, kernel_name=kernel.name)
     row = CalibrationRow(
         name=kernel.name,

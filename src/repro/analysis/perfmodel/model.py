@@ -343,9 +343,8 @@ def predict_kernel(
 
     store = cache if cache is not None else GLOBAL_CACHE
     gpu = _gpu_for(kernel, config)
-    original = store.original(kernel)
     baseline = predict_traces(
-        original.traces, gpu, kernel_name=kernel.name
+        store.original(kernel), gpu, kernel_name=kernel.name
     )
 
     predicted = baseline
@@ -359,7 +358,7 @@ def predict_kernel(
         if compiled is not None:
             try:
                 specialized = predict_traces(
-                    compiled.traces, gpu, kernel_name=kernel.name
+                    compiled, gpu, kernel_name=kernel.name
                 )
             except ResourceError:
                 specialized = None

@@ -882,7 +882,7 @@ def _run_profile(args: argparse.Namespace) -> int:
             + (" (specialized)" if result.used_specialized else "")
         )
         print(profreport.profile_text(result.sim, title=title))
-        print(_verifier_summary(result, kernel))
+        print(_verifier_summary(kernel, config))
         if args.sanitize:
             print(_sanitize_summary(kernel, config))
         if profiler.dropped_events:
@@ -937,20 +937,20 @@ def _sanitize_summary(kernel, config) -> str:
     return "\n".join(lines)
 
 
-def _verifier_summary(result, kernel) -> str:
+def _verifier_summary(kernel, config) -> str:
     """One-line static-verifier status for a profiled kernel.
 
-    The compiler already verified (and would have raised) during
-    compilation; re-running the passes here is cheap and also covers
-    kernels that fell back to the original program.
+    Verifies the program ``kernel`` specializes to under ``config``, or
+    the original program when there is none.  The compiler already
+    verified it; re-running the passes here is cheap.
     """
     from repro.analysis import verify_program
+    from repro.experiments.runner import _compiler_options_for
+    from repro.gates import specialize
 
-    compile_result = getattr(result, "compile_result", None)
-    program = (
-        compile_result.program if compile_result is not None
-        else kernel.program
-    )
+    options = _compiler_options_for(kernel, config)
+    compiled = specialize(kernel, options) if options is not None else None
+    program = compiled[0].program if compiled else kernel.program
     return verify_program(program).summary_line()
 
 

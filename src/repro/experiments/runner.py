@@ -8,29 +8,29 @@ kernel on the same hardware.
 
 Cache entries are **content-addressed**: the key is a SHA-256 over the
 kernel's canonical IR encoding, launch geometry, initial memory image
-(see :meth:`Kernel.content_digest`) and every compiler option, so
+(see :meth:`Kernel.content_digest`), every compiler option and the
+source of the ``repro`` package (:func:`source_digest`), so
 structurally identical kernels share an entry regardless of object
 identity, and entries persist across processes through the on-disk
-:class:`~repro.fexec.trace_store.TraceStore`.  A specialized entry also
-records the digest of the program it traced; a load whose recompile
-yields a different program is a miss.
+:class:`~repro.fexec.trace_store.TraceStore`.  The key is the only
+staleness rule: a hit needs the same kernel, options and code, so it
+is served without recompiling, and any source edit starts a cold cache.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
-from repro.core.compiler import (
-    CompileResult,
-    WaspCompiler,
-    WaspCompilerOptions,
-)
+import repro
+from repro.core.compiler import WaspCompiler, WaspCompilerOptions
 from repro.errors import CompilerError, ResourceError, SimulationError
 from repro.experiments.configs import EvalConfig
 from repro.fexec.machine import run_kernel as run_functional
-from repro.fexec.trace import TRACE_FORMAT_VERSION, KernelTrace
+from repro.fexec.trace import KernelTrace
 from repro.fexec.trace_store import TraceStore
 from repro.sim.config import GPUConfig
 from repro.sim.gpu import SimResult, simulate_kernel
@@ -106,31 +106,46 @@ def harvest_cache_stats(stats: CacheStats) -> None:
         ).inc(value)
 
 
-@dataclass
-class _TraceEntry:
-    traces: list[KernelTrace]
-    compile_result: CompileResult | None
+@functools.cache
+def source_digest() -> str:
+    """SHA-256 over the relative path and bytes of every ``*.py`` file
+    of the ``repro`` package, computed once per process.
+
+    Traces depend on the compiler, the functional executor, the trace
+    encoding and whatever they import; hashing all of it leaves no
+    list of modules to keep up to date by hand.
+    """
+    root = Path(repro.__file__).parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        data = path.read_bytes()
+        digest.update(
+            f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode()
+        )
+        digest.update(data)
+    return digest.hexdigest()
 
 
 class TraceCache:
     """Two-tier (memory + optional disk) functional-trace cache.
 
-    The in-memory tier maps content keys to live entries within one
-    process; the optional :class:`TraceStore` tier shares traces across
-    processes and runs.  ``TraceCache()`` with no store is purely
-    in-memory (what unit tests want); the shared :data:`GLOBAL_CACHE`
-    is backed by the environment-configured store.
+    The in-memory tier maps content keys to traces within one process
+    (``None`` for a kernel that does not specialize under the options);
+    the optional :class:`TraceStore` tier shares traces across processes
+    and runs.  ``TraceCache()`` with no store is purely in-memory (what
+    unit tests want); the shared :data:`GLOBAL_CACHE` is backed by the
+    environment-configured store.
     """
 
     def __init__(self, store: TraceStore | None = None) -> None:
-        self._entries: dict[str, _TraceEntry] = {}
+        self._entries: dict[str, list[KernelTrace] | None] = {}
         self.store = store
         self.stats = CacheStats()
 
     def key_for(
         self, kernel: Kernel, options: WaspCompilerOptions | None
     ) -> str:
-        """Content-addressed cache key for (kernel, options).
+        """Content-addressed cache key for (kernel, options, source).
 
         The options enter through their own :meth:`to_json`, so every
         compiler option is part of the key, including any added later.
@@ -141,110 +156,62 @@ class TraceCache:
         text = (
             f"{kernel.content_digest()}"
             f"|opts={opts}"
-            f"|format={TRACE_FORMAT_VERSION}"
+            f"|source={source_digest()}"
         )
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    def original(self, kernel: Kernel) -> _TraceEntry:
+    def original(self, kernel: Kernel) -> list[KernelTrace]:
         return self._get(kernel, None)
 
     def specialized(
         self, kernel: Kernel, options: WaspCompilerOptions
-    ) -> _TraceEntry | None:
-        entry = self._get(kernel, options)
-        if entry.compile_result is not None and (
-            not entry.compile_result.specialized
-        ):
-            return None
-        return entry
+    ) -> list[KernelTrace] | None:
+        """Traces of the specialized kernel, or ``None`` when the kernel
+        does not specialize under ``options``."""
+        return self._get(kernel, options)
 
     def _get(
         self, kernel: Kernel, options: WaspCompilerOptions | None
-    ) -> _TraceEntry:
+    ) -> list[KernelTrace] | None:
         key = self.key_for(kernel, options)
-        entry = self._entries.get(key)
-        if entry is not None:
+        if key in self._entries:
             self.stats.memory_hits += 1
-            return entry
-        entry = self._load(key, kernel, options)
-        if entry is None:
-            entry = self._generate(key, kernel, options)
-        self._entries[key] = entry
-        return entry
-
-    def _load(
-        self, key: str, kernel: Kernel, options: WaspCompilerOptions | None
-    ) -> _TraceEntry | None:
-        """Rebuild an entry from the disk tier, or ``None`` on miss.
-
-        For specialized entries the (cheap) compilation is re-run to
-        reconstruct the :class:`CompileResult`; only the expensive
-        functional execution is skipped.  If the recompiled program's
-        digest differs from the one the traces were taken of — the
-        compiler changed under a stale cache — the load is a miss.
-        """
-        if self.store is None:
-            return None
-        payload = self.store.load(key)
-        if payload is None:
-            return None
-        if options is None:
-            if not payload["traces"]:
-                return None
+            return self._entries[key]
+        traces = self.store.load(key) if self.store is not None else None
+        if traces:
             self.stats.disk_hits += 1
-            return _TraceEntry(traces=payload["traces"], compile_result=None)
-        compiler = WaspCompiler(options)
-        result = compiler.compile(
-            kernel.program, num_warps=kernel.launch.num_warps
-        )
-        if not result.specialized:
-            return None
-        if payload.get("program") != result.program.canonical_digest():
-            return None
-        self.stats.disk_hits += 1
-        return _TraceEntry(traces=payload["traces"], compile_result=result)
+        else:
+            traces = self._generate(key, kernel, options)
+        self._entries[key] = traces
+        return traces
 
     def _generate(
         self, key: str, kernel: Kernel, options: WaspCompilerOptions | None
-    ) -> _TraceEntry:
-        if options is None:
-            with span("fexec", "trace"):
-                traces = run_functional(
-                    kernel.program, kernel.image_factory(), kernel.launch
-                ).traces
-            self.stats.generations += 1
-            entry = _TraceEntry(traces=traces, compile_result=None)
-            self._persist(key, entry)
-            return entry
-        compiler = WaspCompiler(options)
-        result = compiler.compile(
-            kernel.program, num_warps=kernel.launch.num_warps
-        )
-        if result.specialized:
+    ) -> list[KernelTrace] | None:
+        """Compile (when ``options`` are given), trace and save."""
+        program, launch = kernel.program, kernel.launch
+        if options is not None:
+            result = WaspCompiler(options).compile(
+                program, num_warps=launch.num_warps
+            )
+            if not result.specialized:
+                # Nothing expensive to persist: rediscovering "does not
+                # specialize" is a compile, not a functional run.
+                return None
+            program = result.program
             launch = replace(
-                kernel.launch,
-                num_warps=kernel.launch.num_warps * result.num_stages,
+                launch, num_warps=launch.num_warps * result.num_stages
             )
-            with span("fexec", "trace"):
-                traces = run_functional(
-                    result.program, kernel.image_factory(), launch
-                ).traces
-            self.stats.generations += 1
-            entry = _TraceEntry(traces=traces, compile_result=result)
-            self._persist(
-                key, entry, program=result.program.canonical_digest()
-            )
-        else:
-            # Nothing expensive to persist: rediscovering "does not
-            # specialize" is a compile, not a functional run.
-            entry = _TraceEntry(traces=[], compile_result=result)
-        return entry
-
-    def _persist(self, key: str, entry: _TraceEntry, **meta) -> None:
-        if self.store is None or not entry.traces:
-            return
-        if self.store.save(key, entry.traces, **meta):
+        with span("fexec", "trace"):
+            traces = run_functional(
+                program, kernel.image_factory(), launch
+            ).traces
+        self.stats.generations += 1
+        if self.store is not None and traces and self.store.save(
+            key, traces
+        ):
             self.stats.disk_writes += 1
+        return traces
 
 
 _GLOBAL_CACHE = TraceCache(store=TraceStore.from_env())
@@ -282,7 +249,6 @@ class KernelResult:
     cycles: float
     sim: SimResult
     used_specialized: bool
-    compile_result: CompileResult | None = None
     fallback_sim: SimResult | None = None
     #: Static performance-model prediction for the *same* traces the
     #: simulator timed (attached when ``run_kernel(..., predict=True)``).
@@ -356,11 +322,11 @@ def run_kernel(
     gpu = _gpu_for(kernel, config)
     options = _compiler_options_for(kernel, config)
 
-    plain = cache.original(kernel)
-    plain_sim = simulate_kernel(plain.traces, gpu)
+    plain_traces = cache.original(kernel)
+    plain_sim = simulate_kernel(plain_traces, gpu)
 
     result: KernelResult
-    chosen_traces = plain.traces
+    chosen_traces = plain_traces
     if options is None:
         result = KernelResult(
             kernel=kernel,
@@ -373,15 +339,14 @@ def run_kernel(
             result, chosen_traces, gpu, predict, kernel.name
         )
 
-    entry = None
     try:
-        entry = cache.specialized(kernel, options)
+        spec_traces = cache.specialized(kernel, options)
     except CompilerError:
-        entry = None
+        spec_traces = None
     spec_sim = None
-    if entry is not None:
+    if spec_traces is not None:
         try:
-            spec_sim = simulate_kernel(entry.traces, gpu)
+            spec_sim = simulate_kernel(spec_traces, gpu)
         except ResourceError:
             spec_sim = None
 
@@ -395,10 +360,9 @@ def run_kernel(
             cycles=spec_sim.cycles,
             sim=spec_sim,
             used_specialized=True,
-            compile_result=entry.compile_result,
             fallback_sim=plain_sim,
         )
-        chosen_traces = entry.traces
+        chosen_traces = spec_traces
     else:
         result = KernelResult(
             kernel=kernel,
@@ -406,7 +370,6 @@ def run_kernel(
             cycles=plain_sim.cycles,
             sim=plain_sim,
             used_specialized=False,
-            compile_result=entry.compile_result if entry else None,
             fallback_sim=plain_sim,
         )
     return _attach_prediction(
@@ -455,10 +418,9 @@ def profile_kernel(
     gpu = _gpu_for(kernel, config)
     if result.used_specialized:
         options = _compiler_options_for(kernel, config)
-        entry = cache.specialized(kernel, options)
-        traces = entry.traces
+        traces = cache.specialized(kernel, options)
     else:
-        traces = cache.original(kernel).traces
+        traces = cache.original(kernel)
     if trace_capacity is not None:
         profiler = PipelineProfiler(trace_capacity=trace_capacity)
     else:

@@ -113,12 +113,9 @@ class KernelTrace:
 # Traces persist across processes in the content-addressed cache
 # (``repro.fexec.trace_store``).  The format is deliberately primitive —
 # JSON-compatible lists/dicts with enums stored by value — so payloads
-# stay readable and survive refactors of the dataclasses above.  Bump
-# ``TRACE_FORMAT_VERSION`` whenever the encoding (or the semantics of
-# trace generation) changes; stale files are then regenerated instead of
-# misread.
-
-TRACE_FORMAT_VERSION = 1
+# stay readable.  It needs no version number: the cache key covers the
+# source of the whole package, this encoding included, so files written
+# by other code are never looked up.
 
 
 def encode_traces(traces: list[KernelTrace]) -> list[dict]:

@@ -2,16 +2,17 @@
 
 Functional trace generation dominates the cost of every figure
 reproduction, and the traces themselves are pure functions of (program,
-launch, initial memory image, compiler options).  This module persists
-them on disk under their content hash so they survive across processes:
-benchmark files, CI jobs and CLI invocations all reuse one another's
-work, and the cache directory can be shipped as a CI artifact.
+launch, initial memory image, compiler options) and of the code that
+generates them.  This module persists them on disk under a content key
+so they survive across processes: benchmark files, CI jobs and CLI
+invocations all reuse one another's work, and the cache directory can
+be shipped as a CI artifact.  The caller owns the key and every
+staleness rule in it (:meth:`repro.experiments.runner.TraceCache.key_for`).
 
 Layout: one gzip-compressed JSON file per entry,
-``<cache_dir>/<digest>.json.gz``, wrapped in a versioned envelope.  Any
-read failure — missing file, corrupt gzip/JSON, format-version or key
-mismatch — is treated as a miss so a bad cache can only cost time,
-never correctness.
+``<cache_dir>/<key>.json.gz``, holding ``{"key": ..., "traces": ...}``.
+Any read failure — missing file, corrupt gzip/JSON, key mismatch — is
+treated as a miss so a bad cache can only cost time, never correctness.
 
 Environment knobs:
 
@@ -30,12 +31,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.fexec.trace import (
-    TRACE_FORMAT_VERSION,
-    KernelTrace,
-    decode_traces,
-    encode_traces,
-)
+from repro.fexec.trace import KernelTrace, decode_traces, encode_traces
 from repro.telemetry.registry import TELEMETRY
 
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -91,48 +87,33 @@ class TraceStore:
 
     # -- read/write ---------------------------------------------------------
 
-    def load(self, key: str) -> dict | None:
-        """The stored entry for ``key``, or ``None`` on any failure.
-
-        Returns the payload dict with ``traces`` already decoded to
-        :class:`KernelTrace` objects.
-        """
+    def load(self, key: str) -> list[KernelTrace] | None:
+        """The traces stored under ``key``, or ``None`` on any failure."""
         path = self._path(key)
         telemetry = TELEMETRY.enabled
         started = time.perf_counter() if telemetry else 0.0
+        traces, nbytes = None, 0
         try:
             with gzip.open(path, "rt", encoding="utf-8") as fh:
                 envelope = json.load(fh)
-            if not isinstance(envelope, dict):
-                return None
-            if envelope.get("format") != TRACE_FORMAT_VERSION:
-                return None
-            if envelope.get("key") != key:
-                return None
-            payload = dict(envelope.get("payload") or {})
-            payload["traces"] = decode_traces(payload.get("traces") or [])
-            if telemetry:
-                _tel_io("load", "hit", path.stat().st_size,
-                        time.perf_counter() - started)
-            return payload
+            if isinstance(envelope, dict) and envelope.get("key") == key:
+                traces = decode_traces(envelope["traces"])
+                nbytes = path.stat().st_size
         except (OSError, EOFError, ValueError, KeyError, TypeError):
-            if telemetry:
-                _tel_io("load", "miss", 0,
-                        time.perf_counter() - started)
-            return None
+            pass
+        if telemetry:
+            _tel_io("load", "miss" if traces is None else "hit", nbytes,
+                    time.perf_counter() - started)
+        return traces
 
-    def save(self, key: str, traces: list[KernelTrace], **meta) -> bool:
-        """Persist ``traces`` (plus ``meta``) under ``key``.
+    def save(self, key: str, traces: list[KernelTrace]) -> bool:
+        """Persist ``traces`` under ``key``.
 
         The write is atomic (temp file + rename) so concurrent workers
         racing on the same key leave a complete file either way.
         Returns ``False`` if the entry could not be written.
         """
-        envelope = {
-            "format": TRACE_FORMAT_VERSION,
-            "key": key,
-            "payload": {"traces": encode_traces(traces), **meta},
-        }
+        envelope = {"key": key, "traces": encode_traces(traces)}
         telemetry = TELEMETRY.enabled
         started = time.perf_counter() if telemetry else 0.0
         try:
@@ -170,13 +151,15 @@ class TraceStore:
         return sum(1 for _ in self.cache_dir.glob("*.json.gz"))
 
     def clear(self) -> int:
-        """Delete every cache entry; returns the number removed."""
+        """Delete every entry, and the temp files of writers killed
+        before their rename; returns the number of entries removed."""
         removed = 0
         if self.cache_dir.is_dir():
-            for path in self.cache_dir.glob("*.json.gz"):
+            for path in [*self.cache_dir.glob("*.json.gz"),
+                         *self.cache_dir.glob("*.tmp")]:
                 try:
                     path.unlink()
-                    removed += 1
                 except OSError:
-                    pass
+                    continue
+                removed += path.name.endswith(".json.gz")
         return removed

@@ -205,18 +205,18 @@ class CoreDiffCheck:
         kernel = subject.kernel
         gpu = _gpu_for(kernel, config)
         verdicts = [diff_traces(
-            GLOBAL_CACHE.original(kernel).traces, gpu,
+            GLOBAL_CACHE.original(kernel), gpu,
             f"{subject.label}:plain",
         )]
         options = _compiler_options_for(kernel, config)
         if options is not None:
             try:
-                entry = GLOBAL_CACHE.specialized(kernel, options)
+                traces = GLOBAL_CACHE.specialized(kernel, options)
             except (CompilerError, ResourceError):
-                entry = None
-            if entry is not None:
+                traces = None
+            if traces is not None:
                 verdicts.append(diff_traces(
-                    entry.traces, gpu, f"{subject.label}:specialized",
+                    traces, gpu, f"{subject.label}:specialized",
                 ))
         return verdicts
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.fexec import LaunchConfig, MemoryImage, run_kernel
 from repro.isa import ProgramBuilder, SpecialReg
+from repro.telemetry.registry import TELEMETRY
 
 WIDTH = 16  # narrower warps keep the functional runs fast in tests
 
@@ -168,3 +169,15 @@ def run_and_read(program, image_factory, launch, array: str) -> np.ndarray:
     img = image_factory()
     run_kernel(program, img, launch)
     return img.read_array(array)
+
+
+@pytest.fixture
+def clean_telemetry():
+    """Enable a reset global registry; restore prior state after."""
+    was_enabled = TELEMETRY.enabled
+    TELEMETRY.reset()
+    TELEMETRY.enable()
+    yield TELEMETRY
+    TELEMETRY.reset()
+    if not was_enabled:
+        TELEMETRY.disable()

@@ -16,7 +16,12 @@ from repro.experiments.configs import (
     standard_configs,
     wasp_gpu_config,
 )
-from repro.experiments.runner import TraceCache, run_benchmark, run_kernel
+from repro.experiments.runner import (
+    TraceCache,
+    _compiler_options_for,
+    run_benchmark,
+    run_kernel,
+)
 from repro.experiments.reporting import format_table, geomean
 from repro.sim.config import QueueImpl
 from repro.workloads import get_benchmark
@@ -94,8 +99,9 @@ def test_runner_reports_specialization_metadata(cache):
         benchmark.kernels[0], wasp_gpu_config(), cache
     )
     assert result.used_specialized
-    assert result.compile_result is not None
-    assert result.compile_result.num_stages >= 2
+    options = _compiler_options_for(benchmark.kernels[0], wasp_gpu_config())
+    traces = cache.specialized(benchmark.kernels[0], options)
+    assert all(t.tb_spec.num_stages >= 2 for t in traces)
     assert result.fallback_sim is not None
 
 

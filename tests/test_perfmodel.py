@@ -45,9 +45,9 @@ def spmv_kernel():
 @pytest.fixture(scope="module")
 def spmv_specialized(spmv_kernel, cache):
     options = _compiler_options_for(spmv_kernel, wasp_gpu_config())
-    entry = cache.specialized(spmv_kernel, options)
-    assert entry is not None
-    return entry
+    traces = cache.specialized(spmv_kernel, options)
+    assert traces is not None
+    return traces
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +59,7 @@ def spmv_prediction(spmv_kernel, cache):
 
 
 def test_queue_digraph_matches_tb_spec(spmv_specialized):
-    spec = spmv_specialized.compile_result.program.tb_spec
+    spec = spmv_specialized[0].tb_spec
     edges = queue_digraph(spec)
     assert edges, "specialized pipeline must have at least one queue"
     declared = {(q.queue_id, q.src_stage, q.dst_stage) for q in spec.queues}
@@ -69,7 +69,7 @@ def test_queue_digraph_matches_tb_spec(spmv_specialized):
 
 def test_bounds_binding_is_max(spmv_kernel, spmv_specialized):
     gpu = _gpu_for(spmv_kernel, wasp_gpu_config())
-    traces = spmv_specialized.traces
+    traces = spmv_specialized
     walk = DataflowWalk(gpu, traces)
     walk.run()
     work = compute_stage_work(traces, walk.smem_queue)
@@ -137,9 +137,9 @@ def test_predict_traces_close_to_simulator(spmv_kernel, cache):
     result = run_kernel(spmv_kernel, config, cache)
     if result.used_specialized:
         options = _compiler_options_for(spmv_kernel, config)
-        traces = cache.specialized(spmv_kernel, options).traces
+        traces = cache.specialized(spmv_kernel, options)
     else:
-        traces = cache.original(spmv_kernel).traces
+        traces = cache.original(spmv_kernel)
     pred = predict_traces(
         traces, _gpu_for(spmv_kernel, config),
         kernel_name=spmv_kernel.name,

@@ -44,7 +44,7 @@ def _first_kernel(name):
 
 
 def _traces(name):
-    return _CACHE.original(_first_kernel(name)).traces
+    return _CACHE.original(_first_kernel(name))
 
 
 # -- stall attribution invariant (all counters always on) -------------------

@@ -46,18 +46,6 @@ from repro.telemetry.trajectory import (
 BOUNDS = exponential_buckets(0.001, 4.0, 8)
 
 
-@pytest.fixture
-def clean_telemetry():
-    """Enable a reset global registry; restore prior state after."""
-    was_enabled = TELEMETRY.enabled
-    TELEMETRY.reset()
-    TELEMETRY.enable()
-    yield TELEMETRY
-    TELEMETRY.reset()
-    if not was_enabled:
-        TELEMETRY.disable()
-
-
 # -- buckets and histograms -------------------------------------------------
 
 
@@ -475,7 +463,7 @@ def test_diff_traces_populates_perf_fields(isolated_cache):
 
     bench = get_benchmark("pointnet", scale=0.1)
     kernel = bench.kernels[0]
-    traces = isolated_cache.original(kernel).traces
+    traces = isolated_cache.original(kernel)
     diff = diff_traces(traces, baseline_a100(), "pointnet/BASELINE")
     assert diff.ok, diff.detail
     fields = diff.fields

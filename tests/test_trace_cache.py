@@ -2,27 +2,34 @@
 
 Covers the two-tier :class:`TraceCache`: structurally identical kernels
 must share one entry regardless of object identity, any structural
-mutation must produce a distinct key, and the persistent
-:class:`TraceStore` tier must round-trip traces bit-identically while
-degrading gracefully (corrupt files, version mismatches) to plain
-regeneration.
+mutation must produce a distinct key, a source edit must start cold,
+and the persistent :class:`TraceStore` tier must round-trip traces
+bit-identically while degrading gracefully (corrupt files, key
+mismatches) to plain regeneration.
 """
 
 import gzip
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from repro.core.compiler import WaspCompilerOptions
+from repro.core.compiler import WaspCompiler, WaspCompilerOptions
+from repro.experiments import runner
 from repro.experiments.configs import baseline_config, wasp_gpu_config
-from repro.experiments.runner import TraceCache, run_kernel
+from repro.experiments.runner import (
+    TraceCache,
+    _compiler_options_for,
+    run_kernel,
+)
 from repro.fexec import LaunchConfig, MemoryImage
+from repro.fexec.trace import KernelTrace, decode_traces, encode_traces
 from repro.fexec.trace_store import TraceStore, cache_enabled
 from repro.fuzz.generator import build_kernel
 from repro.fuzz.spec import generate_spec
 from repro.isa import ProgramBuilder, SpecialReg
-from repro.sim.config import baseline_a100
+from repro.sim.config import baseline_a100, wasp_gpu
 from repro.sim.gpu import simulate_kernel
 from repro.workloads import get_benchmark
 from repro.workloads.base import Kernel
@@ -130,12 +137,12 @@ def test_disk_round_trip_bit_identical_simulation(store):
     gpu = baseline_a100()
 
     warm = TraceCache(store=store)
-    reference = simulate_kernel(warm.original(kernel).traces, gpu)
+    reference = simulate_kernel(warm.original(kernel), gpu)
     assert warm.stats.generations == 1
     assert warm.stats.disk_writes == 1
 
     fresh = TraceCache(store=store)  # fresh memory tier, same disk
-    replayed = simulate_kernel(fresh.original(kernel).traces, gpu)
+    replayed = simulate_kernel(fresh.original(kernel), gpu)
     assert fresh.stats.disk_hits == 1
     assert fresh.stats.generations == 0
     assert replayed.cycles == reference.cycles
@@ -177,12 +184,12 @@ def _single_entry_path(store):
 def test_corrupted_entry_falls_back_to_regeneration(store):
     kernel = _tiny_kernel()
     warm = TraceCache(store=store)
-    reference = warm.original(kernel).traces
+    reference = warm.original(kernel)
 
     _single_entry_path(store).write_bytes(b"not gzip at all")
 
     fresh = TraceCache(store=store)
-    traces = fresh.original(kernel).traces
+    traces = fresh.original(kernel)
     assert fresh.stats.disk_hits == 0
     assert fresh.stats.generations == 1
     gpu = baseline_a100()
@@ -192,45 +199,45 @@ def test_corrupted_entry_falls_back_to_regeneration(store):
     )
 
 
-def test_version_mismatch_falls_back_to_regeneration(store):
-    kernel = _tiny_kernel()
-    TraceCache(store=store).original(kernel)
-
-    path = _single_entry_path(store)
-    with gzip.open(path, "rt", encoding="utf-8") as fh:
-        envelope = json.load(fh)
-    envelope["format"] = envelope["format"] + 1
-    with gzip.open(path, "wt", encoding="utf-8") as fh:
-        json.dump(envelope, fh)
-
-    fresh = TraceCache(store=store)
-    fresh.original(kernel)
-    assert fresh.stats.disk_hits == 0
-    assert fresh.stats.generations == 1
-
-
-def test_program_digest_mismatch_is_a_miss(store):
-    """A specialized entry whose recorded program differs from what the
-    compiler now emits is regenerated, not replayed."""
+def test_source_edit_is_a_miss(store, monkeypatch):
+    """Entries written by other code are never served: the package
+    source is part of the key."""
     kernel = build_kernel(generate_spec(0))
     options = WaspCompilerOptions()
-    assert TraceCache(store=store).specialized(kernel, options) is not None
+    TraceCache(store=store).original(kernel)
+    TraceCache(store=store).specialized(kernel, options)
+    assert store.entry_count() == 2
 
-    path = _single_entry_path(store)
-    with gzip.open(path, "rt", encoding="utf-8") as fh:
-        envelope = json.load(fh)
-    envelope["payload"]["program"] = "0" * 64
-    with gzip.open(path, "wt", encoding="utf-8") as fh:
-        json.dump(envelope, fh)
-
+    monkeypatch.setattr(runner, "source_digest", lambda: "0" * 64)
     fresh = TraceCache(store=store)
+    fresh.original(kernel)
     assert fresh.specialized(kernel, options) is not None
     assert fresh.stats.disk_hits == 0
-    assert fresh.stats.generations == 1
-    # The regenerated entry replaced the stale one.
-    again = TraceCache(store=store)
-    again.specialized(kernel, options)
-    assert (again.stats.disk_hits, again.stats.generations) == (1, 0)
+    assert fresh.stats.generations == 2
+    assert store.entry_count() == 4
+
+
+def test_warm_specialized_hit_does_not_recompile(store, monkeypatch):
+    kernel = build_kernel(generate_spec(0))
+    options = WaspCompilerOptions()
+    reference = TraceCache(store=store).specialized(kernel, options)
+    assert reference is not None
+
+    calls = []
+    compile_ = WaspCompiler.compile
+    monkeypatch.setattr(
+        WaspCompiler, "compile",
+        lambda self, *a, **kw: calls.append(1) or compile_(self, *a, **kw),
+    )
+    fresh = TraceCache(store=store)
+    traces = fresh.specialized(kernel, options)
+    assert (fresh.stats.disk_hits, fresh.stats.generations) == (1, 0)
+    assert calls == []
+    gpu = wasp_gpu()
+    assert (
+        simulate_kernel(traces, gpu).cycles
+        == simulate_kernel(reference, gpu).cycles
+    )
 
 
 def test_key_mismatch_is_a_miss(store):
@@ -243,11 +250,43 @@ def test_key_mismatch_is_a_miss(store):
     assert store.load(key) is not None
 
 
+def test_every_failed_load_counts_a_miss(store, clean_telemetry):
+    kernel = _tiny_kernel()
+    TraceCache(store=store).original(kernel)
+    path = _single_entry_path(store)
+    key = path.name.removesuffix(".json.gz")
+    misses = clean_telemetry.counter(
+        "repro_tracestore_ops_total", {"op": "load", "outcome": "miss"}
+    )
+    before = misses.value
+
+    assert store.load("0" * 64) is None  # no such file
+    with gzip.open(path, "rt", encoding="utf-8") as fh:
+        envelope = json.load(fh)
+    envelope["key"] = "0" * 64
+    with gzip.open(path, "wt", encoding="utf-8") as fh:
+        json.dump(envelope, fh)
+    assert store.load(key) is None  # envelope key differs from its name
+    with gzip.open(path, "wt", encoding="utf-8") as fh:
+        json.dump([], fh)
+    assert store.load(key) is None  # not an envelope
+    assert misses.value - before == 3
+
+
 def test_store_clear_and_count(store):
     TraceCache(store=store).original(_tiny_kernel())
     assert store.entry_count() == 1
     assert store.clear() == 1
     assert store.entry_count() == 0
+
+
+def test_store_clear_removes_orphaned_temp_files(store):
+    """A writer killed before its rename leaves a ``*.tmp`` file."""
+    TraceCache(store=store).original(_tiny_kernel())
+    orphan = store.cache_dir / "tmpabc123.tmp"
+    orphan.write_bytes(b"partial")
+    assert store.clear() == 1
+    assert list(store.cache_dir.iterdir()) == []
 
 
 def test_cache_disabled_by_environment(monkeypatch):
@@ -256,3 +295,39 @@ def test_cache_disabled_by_environment(monkeypatch):
     assert TraceStore.from_env() is None
     monkeypatch.setenv("REPRO_CACHE", "1")
     assert cache_enabled()
+
+
+# -- encoding round-trip -----------------------------------------------------
+
+
+def _assert_round_trip(traces):
+    decoded = decode_traces(json.loads(json.dumps(encode_traces(traces))))
+    assert len(decoded) == len(traces)
+    for got, want in zip(decoded, traces):
+        for f in fields(KernelTrace):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+@pytest.mark.parametrize("depth", [2, 4, 8])
+@pytest.mark.parametrize("seed", [0, 1, 5, 7])
+def test_fuzz_traces_round_trip_exactly(seed, depth):
+    cache = TraceCache()
+    kernel = build_kernel(generate_spec(seed))
+    _assert_round_trip(cache.original(kernel))
+    traces = cache.specialized(
+        kernel, WaspCompilerOptions(pipeline_depth=depth)
+    )
+    if traces is not None:
+        assert all(t.tb_spec is not None for t in traces)
+        _assert_round_trip(traces)
+
+
+def test_tma_offloaded_traces_round_trip_exactly():
+    kernel = get_benchmark("pointnet", 0.1).kernels[0]
+    options = _compiler_options_for(kernel, wasp_gpu_config())
+    traces = TraceCache().specialized(kernel, options)
+    assert any(
+        i.tma_job is not None
+        for t in traces for w in t.warps for i in w.instrs
+    )
+    _assert_round_trip(traces)
