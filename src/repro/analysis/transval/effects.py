@@ -71,8 +71,8 @@ from repro.analysis.transval.expr import (
     ite,
     mul,
     negate,
+    nodes,
     op2,
-    rewrite,
     unary,
     warpsum,
 )
@@ -551,15 +551,11 @@ class _SectionWalker:
         """Marker tags ``e`` depends on, looking through nested loop
         tables (RecPhi/RecExit nodes are leaves in the expr tree)."""
         tags: set[str] = set()
-
-        def fn(node: Expr) -> Expr:
+        for node in nodes(e):
             if isinstance(node, Marker):
                 tags.add(node.tag)
             elif isinstance(node, (RecPhi, RecExit)):
                 tags.update(self._loop_tags.get(node.loop, ()))
-            return node
-
-        rewrite(e, fn)
         return tags
 
     def _note_read(self, e: Expr) -> None:
@@ -1008,13 +1004,7 @@ class _SectionWalker:
 
 def _has_opaque(e: Expr) -> bool:
     """True if ``e`` contains a pass-1 opaque (``~pop``/``~lds`` Sym)."""
-    found = False
-
-    def fn(node: Expr) -> Expr:
-        nonlocal found
-        if isinstance(node, Sym) and node.name.startswith("~"):
-            found = True
-        return node
-
-    rewrite(e, fn)
-    return found
+    return any(
+        isinstance(node, Sym) and node.name.startswith("~")
+        for node in nodes(e)
+    )

@@ -31,7 +31,7 @@ from typing import Iterable
 
 from repro.core.compiler.buffering import PHASE_SUFFIXES, phase_suffix
 from repro.core.compiler.extraction import ExtractionPlan, LoadPlan
-from repro.core.compiler.pdg import build_pdg
+from repro.core.compiler.pdg import PDG, build_pdg
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import FuncUnit, InstrCategory, Opcode, opcode_info
 from repro.isa.operands import (
@@ -173,8 +173,8 @@ def _build_one_stage(
         block.instructions = new_instrs
 
     _rewrite_special_regs(program)
-    _eliminate_dead_code(program)
-    _annotate_categories(program, plan, is_compute)
+    pdg = _eliminate_dead_code(program)
+    _annotate_categories(program, pdg, plan)
     return result
 
 
@@ -288,13 +288,14 @@ def _rewrite_special_regs(program: Program) -> None:
                     instr.srcs[pos] = SpecialRegister(target)
 
 
-def _eliminate_dead_code(program: Program) -> None:
+def _eliminate_dead_code(program: Program) -> PDG:
     """Drop instructions whose results cannot reach a root.
 
     Roots: stores, queue operations, branches, barriers, TMA configs,
     EXIT.  Pure instructions (including loads) whose values are dead in
     this stage disappear — this is what leaves each memory stage with
-    just its address chains plus the control skeleton.
+    just its address chains plus the control skeleton.  Returns the
+    PDG of the program left behind (:meth:`PDG.restricted`).
     """
     pdg = build_pdg(program)
     live: set[int] = set()
@@ -325,6 +326,7 @@ def _eliminate_dead_code(program: Program) -> None:
         block.instructions = [
             i for i in block.instructions if i.uid in live
         ]
+    return pdg.restricted(live)
 
 
 _ADDR_OPERAND_POS = {
@@ -337,15 +339,14 @@ _ADDR_OPERAND_POS = {
 
 
 def _annotate_categories(
-    program: Program, plan: ExtractionPlan, is_compute: bool
+    program: Program, pdg: PDG, plan: ExtractionPlan
 ) -> None:
     """Tag address-generation instructions for the Figure 19 breakdown.
 
     Integer-pipe instructions in the data backslice of any memory
     address operand are ADDRGEN; control-skeleton arithmetic keeps the
-    CONTROL tag.
+    CONTROL tag.  ``pdg`` is ``program``'s current PDG.
     """
-    pdg = build_pdg(program)
     addr_roots: set[int] = set()
     for instr in program.instructions():
         positions = _ADDR_OPERAND_POS.get(instr.opcode)

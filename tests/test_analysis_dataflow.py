@@ -120,6 +120,48 @@ def test_dominators_diamond():
     assert doms["l"] == frozenset({"e", "l"})
 
 
+def test_hb_graph_solver_matches_the_framework_fixpoint():
+    # The event graph answers queries with its own min-plus worklist
+    # over prebuilt index arrays; it must reproduce the generic
+    # framework fixpoint exactly, parallel edges and negative cycles
+    # (clamped to -inf) included.
+    import random
+
+    from repro.analysis.dataflow.hb import Event, _EventGraph
+
+    rng = random.Random(7)
+    lattice = MinShiftLattice(clamp=40)
+    for _ in range(300):
+        events = [Event(0, i, 0, f"b{i}") for i in range(rng.randint(1, 7))]
+        graph = _EventGraph()
+        graph._lattice = lattice
+        for event in events:
+            graph.add_node(event)
+        edges: list[tuple[Event, Event, int]] = []
+        for _ in range(rng.randint(0, 14)):
+            edge = (rng.choice(events), rng.choice(events),
+                    rng.choice([-1, 0, 0, 1, 1, 2, 3]))
+            edges.append(edge)
+            graph.add_edge(*edge)
+        succs = {e: tuple(d for s, d, _ in edges if s == e) for e in events}
+        least: dict[tuple[Event, Event], int] = {}
+        for src, dst, shift in edges:
+            least[(src, dst)] = min(shift, least.get((src, dst), shift))
+        for src in events:
+            problem = DataflowProblem(
+                nodes=tuple(events),
+                successors=succs,
+                bottom=lattice.bottom,
+                join=lattice.join,
+                leq=lattice.leq,
+                transfer=lambda u, v, x: lattice.add(x, least[(u, v)]),
+                initial={src: 0.0},
+            )
+            expected = solve(problem)
+            for dst in events:
+                assert graph.dist(src, dst) == expected[dst], (edges, src)
+
+
 # -- hand-built deep pipelines -------------------------------------------
 
 RING_SLOTS = 8
