@@ -221,6 +221,11 @@ class _EventGraph:
         (join ``min``, transfer ``lattice.add``), unrolled over index
         arrays: the fixpoint of a monotone finite-height problem does
         not depend on visit order, so the distances are the same.
+
+        A FIFO worklist dequeues a node at most once per round, and
+        without a negative cycle there are at most ``len(adj)`` rounds.
+        A node dequeued more often lies downstream of a negative cycle,
+        so it goes to -inf at once instead of descending to the clamp.
         """
         if self._adj is None:
             self._adj = self._prepare()
@@ -231,10 +236,14 @@ class _EventGraph:
         dist[start] = 0.0
         queued = [False] * len(adj)
         queued[start] = True
+        dequeues = [0] * len(adj)
         worklist = deque([start])
         while worklist:
             u = worklist.popleft()
             queued[u] = False
+            dequeues[u] += 1
+            if dequeues[u] > len(adj):
+                dist[u] = -INF
             base = dist[u]
             for v, shift in adj[u]:
                 total = base + shift

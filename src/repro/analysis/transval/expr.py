@@ -204,7 +204,9 @@ class SLoad(Expr):
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "key", (8, self.family, self.addr.key, len(self.writes))
+            self, "key",
+            (8, self.family, self.addr.key, len(self.writes),
+             tuple((a.key, v.key) for a, v in self.writes)),
         )
         object.__setattr__(
             self, "_hash", hash((self.family, self.addr, self.writes))

@@ -104,6 +104,10 @@ class FunctionalMachine:
         self._sync_barriers: dict[str, SyncBarrier] = {}
         self._warps = [self._make_warp(w) for w in range(launch.num_warps)]
         self._dynamic_count = 0
+        # One record per distinct (static instruction, memory footprint):
+        # the static instruction fixes every other field, and it outlives
+        # the run, so its id() is a stable key.
+        self._interned: dict[tuple, DynamicInstr] = {}
         self._san: SmemSanitizer | None = None
         if sanitize:
             self._san = SmemSanitizer(program, launch.num_warps, tb_id)
@@ -666,20 +670,24 @@ class FunctionalMachine:
     ) -> None:
         if warp.trace is None:
             return
-        dst_regs: tuple[int, ...] = ()
-        if isinstance(instr.dst, (Register, Predicate)):
-            dst_regs = (_flat_reg(instr.dst),)
-        src_regs = tuple(
-            _flat_reg(op)
-            for op in instr.srcs
-            if isinstance(op, (Register, Predicate))
-        )
-        if instr.guard is not None:
-            src_regs = src_regs + (_flat_reg(instr.guard),)
-        queue_push = instr.dst.queue_id if isinstance(instr.dst, QueueRef) else None
-        pops = instr.queue_pops()
-        warp.trace.instrs.append(
-            DynamicInstr(
+        key = (id(instr), sectors, smem_words, is_store)
+        record = self._interned.get(key) if tma_job is None else None
+        if record is None:
+            dst_regs: tuple[int, ...] = ()
+            if isinstance(instr.dst, (Register, Predicate)):
+                dst_regs = (_flat_reg(instr.dst),)
+            src_regs = tuple(
+                _flat_reg(op)
+                for op in instr.srcs
+                if isinstance(op, (Register, Predicate))
+            )
+            if instr.guard is not None:
+                src_regs = src_regs + (_flat_reg(instr.guard),)
+            queue_push = (
+                instr.dst.queue_id if isinstance(instr.dst, QueueRef) else None
+            )
+            pops = instr.queue_pops()
+            record = DynamicInstr(
                 opcode=instr.opcode,
                 unit=instr.info.unit,
                 category=instr.category,
@@ -693,7 +701,10 @@ class FunctionalMachine:
                 smem_words=smem_words,
                 tma_job=tma_job,
             )
-        )
+            # Each TMA job is its own dict, so those records are never shared.
+            if tma_job is None:
+                self._interned[key] = record
+        warp.trace.instrs.append(record)
 
     def _aggregate_queue_lengths(self) -> dict[int, int]:
         totals: dict[int, int] = {}

@@ -19,9 +19,14 @@ from repro.isa.opcodes import FuncUnit, InstrCategory, Opcode
 PRED_BASE = 1 << 16
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class DynamicInstr:
     """One executed instruction in a warp's dynamic stream.
+
+    Records are immutable and shared: within one :class:`KernelTrace`,
+    every execution of a static instruction with the same memory
+    footprint is the same object, in every warp that executes it.
+    Records carrying a ``tma_job`` are never shared.
 
     Attributes:
         opcode: The executed opcode.
@@ -113,7 +118,10 @@ class KernelTrace:
 # Traces persist across processes in the content-addressed cache
 # (``repro.fexec.trace_store``).  The format is deliberately primitive —
 # JSON-compatible lists/dicts with enums stored by value — so payloads
-# stay readable.  It needs no version number: the cache key covers the
+# stay readable.  Each kernel trace holds a ``"table"`` of its distinct
+# records, numbered by first appearance, and each warp is
+# ``[warp_id, pipe_stage_id, [index, ...]]`` into it, so sharing survives
+# a round trip.  It needs no version number: the cache key covers the
 # source of the whole package, this encoding included, so files written
 # by other code are never looked up.
 
@@ -126,23 +134,25 @@ def encode_traces(traces: list[KernelTrace]) -> list[dict]:
 def decode_traces(payload: list[dict]) -> list[KernelTrace]:
     """Rebuild kernel traces from :func:`encode_traces` output.
 
-    Raises ``KeyError``/``ValueError``/``TypeError`` on malformed
-    payloads; callers treat any failure as a cache miss.
+    Raises ``KeyError``/``IndexError``/``ValueError``/``TypeError`` on
+    malformed payloads; callers treat any failure as a cache miss.
     """
     return [_decode_kernel_trace(t) for t in payload]
 
 
 def _encode_kernel_trace(trace: KernelTrace) -> dict:
+    # Keys keep first-appearance order; the records stay alive in
+    # ``trace`` while their ids are in use.
+    distinct = {id(i): i for w in trace.warps for i in w.instrs}
+    slot = {key: n for n, key in enumerate(distinct)}
     return {
         "kernel_name": trace.kernel_name,
         "num_warps": trace.num_warps,
         "warp_width": trace.warp_width,
+        "table": [_encode_instr(i) for i in distinct.values()],
         "warps": [
-            {
-                "warp_id": w.warp_id,
-                "pipe_stage_id": w.pipe_stage_id,
-                "instrs": [_encode_instr(i) for i in w.instrs],
-            }
+            [w.warp_id, w.pipe_stage_id,
+             list(map(slot.__getitem__, map(id, w.instrs)))]
             for w in trace.warps
         ],
         "queue_lengths": {str(k): v for k, v in trace.queue_lengths.items()},
@@ -154,17 +164,20 @@ def _encode_kernel_trace(trace: KernelTrace) -> dict:
 
 
 def _decode_kernel_trace(data: dict) -> KernelTrace:
+    table = [_decode_instr(i) for i in data["table"]]
+    if any(ids and min(ids) < 0 for _, _, ids in data["warps"]):
+        raise IndexError("negative trace table index")
     return KernelTrace(
         kernel_name=data["kernel_name"],
         num_warps=data["num_warps"],
         warp_width=data["warp_width"],
         warps=[
             WarpTrace(
-                warp_id=w["warp_id"],
-                pipe_stage_id=w["pipe_stage_id"],
-                instrs=[_decode_instr(i) for i in w["instrs"]],
+                warp_id=warp_id,
+                pipe_stage_id=stage,
+                instrs=list(map(table.__getitem__, ids)),
             )
-            for w in data["warps"]
+            for warp_id, stage, ids in data["warps"]
         ],
         queue_lengths={int(k): v for k, v in data["queue_lengths"].items()},
         barrier_arrivals=dict(data["barrier_arrivals"]),

@@ -10,9 +10,14 @@ be shipped as a CI artifact.  The caller owns the key and every
 staleness rule in it (:meth:`repro.experiments.runner.TraceCache.key_for`).
 
 Layout: one gzip-compressed JSON file per entry,
-``<cache_dir>/<key>.json.gz``, holding ``{"key": ..., "traces": ...}``.
-Any read failure — missing file, corrupt gzip/JSON, key mismatch — is
-treated as a miss so a bad cache can only cost time, never correctness.
+``<cache_dir>/<key>.json.gz``, holding ``{"key": ..., "traces": ...}``;
+each kernel trace is a table of its distinct records plus one index
+list per warp (:mod:`repro.fexec.trace`).  An entry is written with a
+single ``json.dumps`` and ``gzip.compress`` call and read back with a
+single ``gzip.decompress`` and ``json.loads``.  Any read failure —
+missing file, corrupt gzip/JSON, key mismatch, an index outside its
+table — is treated as a miss so a bad cache can only cost time, never
+correctness.
 
 Environment knobs:
 
@@ -29,6 +34,7 @@ import json
 import os
 import tempfile
 import time
+import zlib
 from pathlib import Path
 
 from repro.fexec.trace import KernelTrace, decode_traces, encode_traces
@@ -94,12 +100,13 @@ class TraceStore:
         started = time.perf_counter() if telemetry else 0.0
         traces, nbytes = None, 0
         try:
-            with gzip.open(path, "rt", encoding="utf-8") as fh:
-                envelope = json.load(fh)
+            raw = path.read_bytes()
+            envelope = json.loads(gzip.decompress(raw))
             if isinstance(envelope, dict) and envelope.get("key") == key:
                 traces = decode_traces(envelope["traces"])
-                nbytes = path.stat().st_size
-        except (OSError, EOFError, ValueError, KeyError, TypeError):
+                nbytes = len(raw)
+        except (OSError, EOFError, zlib.error, ValueError, KeyError,
+                IndexError, TypeError):
             pass
         if telemetry:
             _tel_io("load", "miss" if traces is None else "hit", nbytes,
@@ -116,15 +123,17 @@ class TraceStore:
         envelope = {"key": key, "traces": encode_traces(traces)}
         telemetry = TELEMETRY.enabled
         started = time.perf_counter() if telemetry else 0.0
+        data = gzip.compress(
+            json.dumps(envelope, separators=(",", ":")).encode(), 6
+        )
         try:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(
                 dir=self.cache_dir, suffix=".tmp"
             )
             try:
-                with os.fdopen(fd, "wb") as raw:
-                    with gzip.open(raw, "wt", encoding="utf-8") as fh:
-                        json.dump(envelope, fh, separators=(",", ":"))
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(data)
                 os.replace(tmp_name, self._path(key))
             except BaseException:
                 try:
@@ -133,8 +142,7 @@ class TraceStore:
                     pass
                 raise
             if telemetry:
-                _tel_io("save", "written",
-                        self._path(key).stat().st_size,
+                _tel_io("save", "written", len(data),
                         time.perf_counter() - started)
             return True
         except OSError:

@@ -162,6 +162,30 @@ def test_hb_graph_solver_matches_the_framework_fixpoint():
                 assert graph.dist(src, dst) == expected[dst], (edges, src)
 
 
+def test_hb_graph_detects_negative_cycles_without_descending():
+    # A node dequeued more often than the graph has nodes lies behind a
+    # negative cycle: it goes to -inf at once, not after ~clamp rounds.
+    import time
+
+    from repro.analysis.dataflow.hb import Event, _EventGraph
+
+    a, b, z, y, u = (Event(0, i, 0, f"b{i}") for i in range(5))
+    graph = _EventGraph()
+    graph.add_edge(a, b, -1)
+    graph.add_edge(b, a, 0)
+    graph.add_edge(b, z, 0)
+    graph.add_edge(y, a, 3)
+    graph.add_node(u)
+    started = time.perf_counter()
+    assert graph.dist(a, z) == float("-inf")
+    assert graph.dist(a, b) == float("-inf")
+    assert graph.dist(y, z) == float("-inf")
+    assert graph.dist(a, y) == float("inf")
+    assert graph.dist(a, u) == float("inf")
+    assert graph.dist(z, z) == 0
+    assert time.perf_counter() - started < 1.0
+
+
 # -- hand-built deep pipelines -------------------------------------------
 
 RING_SLOTS = 8

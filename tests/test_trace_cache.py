@@ -10,7 +10,7 @@ mismatches) to plain regeneration.
 
 import gzip
 import json
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -273,6 +273,61 @@ def test_every_failed_load_counts_a_miss(store, clean_telemetry):
     assert misses.value - before == 3
 
 
+def test_truncated_entry_is_a_miss_and_regenerates(store, clean_telemetry):
+    kernel = _tiny_kernel()
+    reference = TraceCache(store=store).original(kernel)
+    path = _single_entry_path(store)
+    key = path.name.removesuffix(".json.gz")
+    misses = clean_telemetry.counter(
+        "repro_tracestore_ops_total", {"op": "load", "outcome": "miss"}
+    )
+    before = misses.value
+
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+    assert store.load(key) is None
+    assert misses.value - before == 1
+
+    fresh = TraceCache(store=store)
+    traces = fresh.original(kernel)
+    assert (fresh.stats.disk_hits, fresh.stats.generations) == (0, 1)
+    gpu = baseline_a100()
+    assert (
+        simulate_kernel(traces, gpu).cycles
+        == simulate_kernel(reference, gpu).cycles
+    )
+
+
+def test_corrupt_deflate_stream_is_a_miss(store):
+    TraceCache(store=store).original(_tiny_kernel())
+    path = _single_entry_path(store)
+    key = path.name.removesuffix(".json.gz")
+    data = bytearray(path.read_bytes())
+    # The first deflate block header follows the 10-byte gzip header;
+    # block type 3 is reserved, so zlib rejects the stream.
+    data[10] |= 0b110
+    path.write_bytes(bytes(data))
+    assert store.load(key) is None
+
+
+@pytest.mark.parametrize("past", ["end", "start"])
+def test_index_past_the_table_is_a_miss(store, clean_telemetry, past):
+    TraceCache(store=store).original(_tiny_kernel())
+    path = _single_entry_path(store)
+    key = path.name.removesuffix(".json.gz")
+    misses = clean_telemetry.counter(
+        "repro_tracestore_ops_total", {"op": "load", "outcome": "miss"}
+    )
+    before = misses.value
+
+    envelope = json.loads(gzip.decompress(path.read_bytes()))
+    trace = envelope["traces"][0]
+    trace["warps"][0][2][0] = len(trace["table"]) if past == "end" else -1
+    path.write_bytes(gzip.compress(json.dumps(envelope).encode()))
+    assert store.load(key) is None
+    assert misses.value - before == 1
+
+
 def test_store_clear_and_count(store):
     TraceCache(store=store).original(_tiny_kernel())
     assert store.entry_count() == 1
@@ -306,6 +361,54 @@ def _assert_round_trip(traces):
     for got, want in zip(decoded, traces):
         for f in fields(KernelTrace):
             assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+def _sharing(trace):
+    """Each record's number by first appearance, in stream order."""
+    first: dict[int, int] = {}
+    return [
+        first.setdefault(id(i), len(first))
+        for w in trace.warps for i in w.instrs
+    ]
+
+
+def _assert_interned(traces):
+    """Records are shared within a trace, TMA records never, and the
+    encoded table and a decoded trace keep exactly that sharing."""
+    payload = json.loads(json.dumps(encode_traces(traces)))
+    for trace, encoded, decoded in zip(traces, payload,
+                                       decode_traces(payload)):
+        records = [i for w in trace.warps for i in w.instrs]
+        distinct = len({id(i) for i in records})
+        assert distinct == len(encoded["table"]) < len(records)
+        tma = [id(i) for i in records if i.tma_job is not None]
+        assert len(set(tma)) == len(tma)
+        assert _sharing(decoded) == _sharing(trace)
+
+
+@pytest.mark.parametrize("depth", [2, 4, 8])
+@pytest.mark.parametrize("seed", [0, 1, 5, 7])
+def test_fuzz_traces_are_interned(seed, depth):
+    cache = TraceCache()
+    kernel = build_kernel(generate_spec(seed))
+    _assert_interned(cache.original(kernel))
+    traces = cache.specialized(
+        kernel, WaspCompilerOptions(pipeline_depth=depth)
+    )
+    if traces is not None:
+        _assert_interned(traces)
+
+
+def test_tma_offloaded_traces_are_interned():
+    kernel = get_benchmark("pointnet", 0.1).kernels[0]
+    options = _compiler_options_for(kernel, wasp_gpu_config())
+    _assert_interned(TraceCache().specialized(kernel, options))
+
+
+def test_records_are_immutable():
+    traces = TraceCache().original(_tiny_kernel())
+    with pytest.raises(FrozenInstanceError):
+        traces[0].warps[0].instrs[0].sectors = ()
 
 
 @pytest.mark.parametrize("depth", [2, 4, 8])

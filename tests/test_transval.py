@@ -28,6 +28,8 @@ from repro.analysis.transval import (
 from repro.analysis.transval.expr import (
     Const,
     LoopIdx,
+    Op,
+    SLoad,
     Sym,
     add,
     ite,
@@ -77,6 +79,19 @@ def test_subst_loop_replaces_only_the_named_loop_index():
     e = add(LoopIdx("i"), LoopIdx("j"))
     got = subst_loop(e, "i", Const(7))
     assert stable_repr(got) == stable_repr(add(Const(7), LoopIdx("j")))
+
+
+def test_sloads_of_different_write_sets_are_distinct_terms():
+    # Same family, address and write count, different values written:
+    # the two reads can differ, so they must not collect as like terms.
+    a = Sym("a")
+    x = SLoad("buf", a, ((Const(0), Sym("x")),))
+    y = SLoad("buf", a, ((Const(0), Sym("y")),))
+    total = add(x, y)
+    assert isinstance(total, Op) and total.op == "add"
+    assert set(total.args) == {x, y}
+    assert add(x, mul(Const(-1), y)) != Const(0)
+    assert stable_repr(add(x, x)) == stable_repr(mul(Const(2), x))
 
 
 # ---------------------------------------------------------------------------
